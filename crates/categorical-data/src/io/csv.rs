@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
@@ -48,6 +49,9 @@ impl Default for CsvOptions {
 
 /// Reads a delimiter-separated categorical data file from `path`.
 ///
+/// The file is read into memory once and parsed by [`read_csv_str`]'s
+/// single pass; see there for the parsing contract.
+///
 /// # Errors
 ///
 /// Returns [`DataError::Io`] if the file cannot be read and
@@ -72,6 +76,20 @@ pub fn read_csv(path: impl AsRef<Path>, options: &CsvOptions) -> Result<Dataset,
 
 /// Reads a delimiter-separated categorical data set from a string.
 ///
+/// Parsing is one streaming pass over `text` that keeps no records: each
+/// line is split into fields borrowed from `text` (only a line containing
+/// `"` is unquoted into owned fields), and its codes go straight into the
+/// table. The first data record fixes the width and the label column.
+///
+/// * A leading UTF-8 byte-order mark is skipped.
+/// * Fields are trimmed after unquoting; blank and whitespace-only lines
+///   are skipped but still count for line numbers. The header is not
+///   arity-checked.
+/// * Value codes follow first appearance, per column. When
+///   [`CsvOptions::drop_missing`] drops a row, the values before its first
+///   missing token stay interned and those after it are not.
+/// * The error reported is that of the first malformed line in file order.
+///
 /// # Errors
 ///
 /// Same conditions as [`read_csv`], minus IO.
@@ -79,25 +97,33 @@ pub fn read_csv_str(text: &str, options: &CsvOptions) -> Result<Dataset, DataErr
     read_csv_named("csv", text, options)
 }
 
+/// How many of a column's labels are scanned before falling back to
+/// [`FeatureDomain::intern`]'s hash lookup. Categorical columns mostly hold
+/// a handful of values, for which comparing a few short strings is cheaper
+/// than hashing the field.
+const SCAN_LABELS: usize = 16;
+
 fn read_csv_named(name: &str, text: &str, options: &CsvOptions) -> Result<Dataset, DataError> {
-    let mut records = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        records.push((line_no + 1, split_record(line, options.delimiter, line_no + 1)?));
-    }
-    if records.is_empty() {
-        return Err(DataError::EmptyTable);
-    }
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
+    let delimiter = options.delimiter;
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| (i + 1, line));
+    // The fields of the current line, reused across lines.
+    let mut fields: Vec<Cow<'_, str>> = Vec::new();
 
-    let header: Option<Vec<String>> =
-        if options.has_header { Some(records.remove(0).1) } else { None };
-    if records.is_empty() {
-        return Err(DataError::EmptyTable);
+    let (mut line_no, mut line) = lines.next().ok_or(DataError::EmptyTable)?;
+    let mut header: Vec<String> = Vec::new();
+    if options.has_header {
+        split_record(line, delimiter, line_no, &mut fields)?;
+        header.extend(fields.drain(..).map(Cow::into_owned));
+        (line_no, line) = lines.next().ok_or(DataError::EmptyTable)?;
     }
+    split_record(line, delimiter, line_no, &mut fields)?;
 
-    let width = records[0].1.len();
+    let width = fields.len();
     let label_idx = match options.label {
         LabelColumn::None => None,
         LabelColumn::First => Some(0),
@@ -107,78 +133,137 @@ fn read_csv_named(name: &str, text: &str, options: &CsvOptions) -> Result<Datase
     if let Some(i) = label_idx {
         if i >= width {
             return Err(DataError::Parse {
-                line: records[0].0,
+                line: line_no,
                 message: format!("label column {i} out of range for {width}-field records"),
             });
         }
     }
 
     let d = if label_idx.is_some() { width - 1 } else { width };
+    // Header names skip the label column like data rows do.
+    if let Some(i) = label_idx.filter(|&i| i < header.len()) {
+        header.remove(i);
+    }
+    let mut names = header.into_iter();
     let mut domains: Vec<FeatureDomain> = (0..d)
-        .map(|r| {
-            let fallback = format!("f{r}");
-            let feature_name = header
-                .as_ref()
-                .map(|h| {
-                    // Header indices must skip the label column like data rows do.
-                    let mut cols: Vec<&String> = h.iter().collect();
-                    if let Some(i) = label_idx {
-                        if i < cols.len() {
-                            cols.remove(i);
-                        }
-                    }
-                    cols.get(r).map_or(fallback.clone(), |s| (*s).clone())
-                })
-                .unwrap_or(fallback);
-            FeatureDomain::new(feature_name)
-        })
+        .map(|r| FeatureDomain::new(names.next().unwrap_or_else(|| format!("f{r}"))))
         .collect();
-
     let mut label_domain = FeatureDomain::new("class");
-    let mut codes: Vec<u32> = Vec::with_capacity(records.len() * d);
-    let mut labels: Vec<usize> = Vec::with_capacity(records.len());
-    let mut n_rows = 0usize;
 
-    'rows: for (line_no, fields) in &records {
+    // As many rows as records like this one would fill the text: exact for
+    // fixed-width files, and never much more than one code per byte.
+    let est_rows = text.len() / (line.len() + 1) + 1;
+    let mut codes: Vec<u32> = Vec::with_capacity(est_rows * d);
+    let mut labels: Vec<usize> = Vec::with_capacity(est_rows);
+    loop {
         if fields.len() != width {
             return Err(DataError::Parse {
-                line: *line_no,
+                line: line_no,
                 message: format!("expected {width} fields, found {}", fields.len()),
             });
         }
-        let mut row = Vec::with_capacity(d);
-        let mut r = 0usize;
-        let mut label_value = 0usize;
+        let row_start = codes.len();
+        let mut label = 0usize;
+        let mut dropped = false;
         for (col, field) in fields.iter().enumerate() {
-            let field = field.trim();
+            let field = trim(field);
             if Some(col) == label_idx {
-                label_value = label_domain.intern(field) as usize;
+                label = scan(&label_domain, field).unwrap_or_else(|| label_domain.intern(field))
+                    as usize;
                 continue;
             }
-            if options.missing_tokens.iter().any(|t| t == field) {
-                if options.drop_missing {
-                    continue 'rows;
+            let domain = &mut domains[codes.len() - row_start];
+            let code = match scan(domain, field) {
+                Some(code) => code,
+                // Missing tokens are never interned, so a scan hit is a value.
+                None if options.missing_tokens.iter().any(|t| t == field) => {
+                    if options.drop_missing {
+                        dropped = true;
+                        break;
+                    }
+                    MISSING
                 }
-                row.push(MISSING);
-            } else {
-                row.push(domains[r].intern(field));
-            }
-            r += 1;
+                None => domain.intern(field),
+            };
+            codes.push(code);
         }
-        codes.extend_from_slice(&row);
-        labels.push(label_value);
-        n_rows += 1;
+        if dropped {
+            codes.truncate(row_start);
+        } else {
+            labels.push(label);
+        }
+        let Some(next) = lines.next() else { break };
+        (line_no, line) = next;
+        split_record(line, delimiter, line_no, &mut fields)?;
     }
-    let _ = n_rows;
 
     let schema = Schema::new(domains);
     let table = CategoricalTable::from_flat(schema, codes)?;
     Dataset::new(name, table, labels)
 }
 
-/// Splits one CSV record, honouring double-quoted fields with `""` escapes.
-fn split_record(line: &str, delimiter: char, line_no: usize) -> Result<Vec<String>, DataError> {
-    let mut fields = Vec::new();
+/// The code of `field` among the first [`SCAN_LABELS`] labels of `domain`.
+fn scan(domain: &FeatureDomain, field: &str) -> Option<u32> {
+    let field = field.as_bytes();
+    domain.iter().take(SCAN_LABELS).find_map(|(code, label)| {
+        let label = label.as_bytes();
+        // Byte by byte: labels are short, and a `memcmp` call costs more
+        // than the comparison.
+        let equal = label.len() == field.len() && label.iter().zip(field).all(|(a, b)| a == b);
+        equal.then_some(code)
+    })
+}
+
+/// `field.trim()`, skipping the Unicode scan when both ends are visible
+/// ASCII, as they are in nearly every field.
+fn trim(field: &str) -> &str {
+    let visible = |b: Option<&u8>| b.is_some_and(u8::is_ascii_graphic);
+    let bytes = field.as_bytes();
+    if visible(bytes.first()) && visible(bytes.last()) {
+        field
+    } else {
+        field.trim()
+    }
+}
+
+/// Splits one CSV record into `fields`, honouring double-quoted fields with
+/// `""` escapes. A line without `"` split on an ASCII delimiter borrows its
+/// fields; any other line goes through the quote-aware splitter, whose
+/// fields are owned.
+fn split_record<'a>(
+    line: &'a str,
+    delimiter: char,
+    line_no: usize,
+    fields: &mut Vec<Cow<'a, str>>,
+) -> Result<(), DataError> {
+    if !delimiter.is_ascii() {
+        return split_quoted(line, delimiter, line_no, fields);
+    }
+    fields.clear();
+    let mut start = 0;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        // Checked first, so that a `"` delimiter is still a quote.
+        if b == b'"' {
+            return split_quoted(line, delimiter, line_no, fields);
+        }
+        if b == delimiter as u8 {
+            // Both ends sit next to ASCII bytes, so on char boundaries.
+            fields.push(Cow::Borrowed(&line[start..i]));
+            start = i + 1;
+        }
+    }
+    fields.push(Cow::Borrowed(&line[start..]));
+    Ok(())
+}
+
+/// The quote-aware splitter behind [`split_record`].
+fn split_quoted(
+    line: &str,
+    delimiter: char,
+    line_no: usize,
+    fields: &mut Vec<Cow<'_, str>>,
+) -> Result<(), DataError> {
+    fields.clear();
     let mut field = String::new();
     let mut chars = line.chars().peekable();
     let mut in_quotes = false;
@@ -197,7 +282,7 @@ fn split_record(line: &str, delimiter: char, line_no: usize) -> Result<Vec<Strin
         } else if c == '"' {
             in_quotes = true;
         } else if c == delimiter {
-            fields.push(std::mem::take(&mut field));
+            fields.push(Cow::Owned(std::mem::take(&mut field)));
         } else {
             field.push(c);
         }
@@ -208,11 +293,14 @@ fn split_record(line: &str, delimiter: char, line_no: usize) -> Result<Vec<Strin
             message: "unterminated quoted field".into(),
         });
     }
-    fields.push(field);
-    Ok(fields)
+    fields.push(Cow::Owned(field));
+    Ok(())
 }
 
 /// Writes `dataset` as CSV with the class label in the last column.
+///
+/// A value holding a `,`, `"`, `\r` or `\n` is written quoted, with its
+/// inner `"` doubled, so that [`read_csv`] reads it back.
 ///
 /// # Errors
 ///
@@ -226,13 +314,23 @@ pub fn write_csv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), DataEr
             if code == MISSING {
                 fields.push("?".to_owned());
             } else {
-                fields.push(table.schema().domain(r).label(code).unwrap_or("?").to_owned());
+                let label = table.schema().domain(r).label(code).unwrap_or("?");
+                fields.push(quote_field(label));
             }
         }
         fields.push(format!("c{}", dataset.labels()[i]));
         writeln!(out, "{}", fields.join(","))?;
     }
     Ok(())
+}
+
+/// `value` as one field of [`write_csv`]'s output.
+fn quote_field(value: &str) -> String {
+    if value.contains([',', '"', '\r', '\n']) {
+        format!("\"{}\"", value.replace('"', "\"\""))
+    } else {
+        value.to_owned()
+    }
 }
 
 #[cfg(test)]
@@ -325,5 +423,40 @@ mod tests {
         assert_eq!(back.n_rows(), 2);
         assert_eq!(back.n_features(), 2);
         assert_eq!(back.k_true(), 2);
+    }
+
+    #[test]
+    fn written_quotes_and_delimiters_read_back() {
+        let ds = read_csv_str("\"a,b\",x,yes\n\"q\"\"\",y,no\n", &CsvOptions::default()).unwrap();
+        assert_eq!(ds.table().schema().domain(0).label(0), Some("a,b"));
+        assert_eq!(ds.table().schema().domain(0).label(1), Some("q\""));
+        let dir = std::env::temp_dir().join("categorical-data-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("quoted_round_trip.csv");
+        write_csv(&ds, &path).unwrap();
+        let back = read_csv(&path, &CsvOptions::default()).unwrap();
+        assert_eq!(back.table(), ds.table());
+        assert_eq!(back.labels(), ds.labels());
+    }
+
+    #[test]
+    fn leading_byte_order_mark_is_skipped() {
+        let plain = read_csv_str("a,x,yes\nb,y,no\n", &CsvOptions::default()).unwrap();
+        let text = "\u{feff}a,x,yes\nb,y,no\n";
+        assert_eq!(read_csv_str(text, &CsvOptions::default()).unwrap(), plain);
+        assert_eq!(plain.table().schema().domain(0).label(0), Some("a"));
+
+        let dir = std::env::temp_dir().join("categorical-data-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        // Named so that `read_csv` names the data set as `read_csv_str` does.
+        let path = dir.join("csv.csv");
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(read_csv(&path, &CsvOptions::default()).unwrap(), plain);
+    }
+
+    #[test]
+    fn first_malformed_line_wins() {
+        let err = read_csv_str("a,x,yes\nb,no\n\"c,y,no\n", &CsvOptions::default()).unwrap_err();
+        assert_eq!(err, DataError::Parse { line: 2, message: "expected 3 fields, found 2".into() });
     }
 }

@@ -34,7 +34,10 @@
 # (`conformance --quick`) and check the deterministic work counters
 # against the `PERF_GATES.toml` baselines, self-testing that the gate
 # still has teeth (`conformance --gate`); re-baseline deliberate
-# changes with scripts/update_gates.sh.
+# changes with scripts/update_gates.sh. The benchmark smoke runs every
+# `perfbench` workload for one second as a correctness check: its exit code
+# is checked (a wrong label, a frozen-artifact bytes round-trip or a
+# quarantine check that fails exits non-zero) and its numbers are ignored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,5 +76,9 @@ cargo run --release -p mcdc-bench --bin conformance -- --quick
 
 echo "==> counter gates (conformance --gate)"
 cargo run --release -p mcdc-bench --bin conformance -- --gate
+
+echo "==> benchmark smoke (perfbench, 1 s per workload)"
+env MALLOC_ARENA_MAX=1 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0
 
 echo "verify: OK"
