@@ -8,12 +8,12 @@
 //!        [--replay SEED] [--gates PATH]`
 //!
 //! * `--quick` (also the default mode): replays `--tables` seeded tables
-//!   (default 50) through all 13 grid cells; any divergence prints a
+//!   (default 50) through every grid cell; any divergence prints a
 //!   seed + shrunk-table witness and exits nonzero. This is the
 //!   `scripts/verify.sh` conformance gate.
 //! * `--gate`: measures the fixed counter suites, compares them against
 //!   the checked-in baselines, then self-tests the gate by re-running the
-//!   lazy suite with pruning disabled — the inflated counters must fail.
+//!   serial suite at twice its `k₀` — the inflated counters must fail.
 //! * `--write-gates`: re-measures and rewrites `PERF_GATES.toml`,
 //!   printing the old → new diff (wrapped by `scripts/update_gates.sh`).
 //! * `--replay SEED`: verbose single-seed replay, one line per cell.
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use mcdc_bench::conformance::{
     cell_divergence, compare_counters, gate_suites, grid, measure_suite, minimize_table,
     parse_gates, random_table, render_gates, render_witness, replay_table, run_reference,
-    GateCounters, GateSuite,
+    GateCounters, GateSuite, GATE_K0,
 };
 
 /// Default fuzz breadth for `--quick`.
@@ -236,19 +236,19 @@ fn run_gate(path: &str) -> bool {
     ok && gate_self_test(&file.suites, file.tolerance)
 }
 
-/// The gate's own regression test: re-run the lazy suite with pruning
-/// disabled. Every presentation then pays a full scoring sweep, inflating
-/// `full_rescans` well past the tolerance band, so the counters must
-/// violate the lazy baseline — if they pass, the gate is vacuous and the
+/// The gate's own regression test: re-run the serial suite at twice its
+/// `k₀`. Every presentation then scores twice as many clusters, inflating
+/// `score_evals` well past the tolerance band, so the counters must
+/// violate the serial baseline — if they pass, the gate is vacuous and the
 /// run fails.
 fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool {
-    let Some((name, baseline)) = baselines.iter().find(|(name, _)| name == "serial-lazy") else {
-        eprintln!("gate: self-test needs a [serial-lazy] baseline");
+    let Some((name, baseline)) = baselines.iter().find(|(name, _)| name == "serial") else {
+        eprintln!("gate: self-test needs a [serial] baseline");
         return false;
     };
     let inflated = measure_suite(&GateSuite {
-        name: "serial-lazy",
-        lazy: false,
+        name: "serial",
+        initial_k: 2 * GATE_K0,
         batch: 0,
         cadence: 0,
         ingest: false,
@@ -256,8 +256,9 @@ fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool 
     match compare_counters(name, baseline, &inflated, tolerance) {
         Err(violations) => {
             println!(
-                "gate: self-test OK — lazy-off counters correctly violate the [{name}] baseline \
+                "gate: self-test OK — k₀ = {} counters correctly violate the [{name}] baseline \
                  ({} violations, e.g. {})",
+                2 * GATE_K0,
                 violations.len(),
                 violations[0]
             );
@@ -265,8 +266,8 @@ fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool 
         }
         Ok(_) => {
             eprintln!(
-                "gate: self-test FAILED — disabling lazy scoring did not move the counters; \
-                 the gate has no teeth"
+                "gate: self-test FAILED — doubling k₀ did not move the counters; the gate has \
+                 no teeth"
             );
             false
         }

@@ -116,16 +116,13 @@ pub struct GridCell {
     pub policy: PolicyArm,
     /// Warm-start mode across MGCPL stages.
     pub warm: WarmStart,
-    /// Lazy (candidate-pruned) scoring; replicated plans run eager
-    /// regardless, so only serial cells vary it.
-    pub lazy: bool,
     /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
     /// per-pass barrier. Ignored by serial plans.
     pub cadence: usize,
 }
 
-/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart × lazy ×
-/// cadence` grid — every combination with distinct semantics, 17 cells.
+/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart × cadence`
+/// grid — every combination with distinct semantics, 15 cells.
 ///
 /// The four cadence cells (DESIGN.md §12) probe the bounded-staleness
 /// slide: `m = 1` over a single full-batch shard is the staleness-free
@@ -136,59 +133,33 @@ pub struct GridCell {
 pub fn grid() -> Vec<GridCell> {
     use PlanArm::*;
     use PolicyArm::*;
-    let cell = |name, tier, plan, policy, warm, lazy| GridCell {
-        name,
-        tier,
-        plan,
-        policy,
-        warm,
-        lazy,
-        cadence: 0,
-    };
     let paced = |name, tier, plan, policy, warm, cadence| GridCell {
         name,
         tier,
         plan,
         policy,
         warm,
-        lazy: false,
         cadence,
     };
+    let cell = |name, tier, plan, policy, warm| paced(name, tier, plan, policy, warm, 0);
     vec![
-        cell("serial/cold/lazy", Tier::Exact, Serial, Average, WarmStart::Cold, true),
-        cell("serial/cold/eager", Tier::Exact, Serial, Average, WarmStart::Cold, false),
-        cell("serial/carry/lazy", Tier::Exact, Serial, Average, WarmStart::Carry, true),
-        cell("serial/carry/eager", Tier::Exact, Serial, Average, WarmStart::Carry, false),
-        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold, false),
-        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold, false),
-        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry, false),
-        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold, false),
-        cell(
-            "batch/rotate/cold",
-            Tier::Bounded,
-            QuarterBatch,
-            RotateAverage,
-            WarmStart::Cold,
-            false,
-        ),
+        cell("serial/cold", Tier::Exact, Serial, Average, WarmStart::Cold),
+        cell("serial/carry", Tier::Exact, Serial, Average, WarmStart::Carry),
+        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold),
+        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold),
+        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry),
+        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold),
+        cell("batch/rotate/cold", Tier::Bounded, QuarterBatch, RotateAverage, WarmStart::Cold),
         cell(
             "batch/rotate-momentum/carry",
             Tier::Bounded,
             QuarterBatch,
             RotateMomentum,
             WarmStart::Carry,
-            false,
         ),
-        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold, false),
-        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold, false),
-        cell(
-            "sharded/rotate/carry",
-            Tier::Bounded,
-            Sharded3,
-            RotateAverage,
-            WarmStart::Carry,
-            false,
-        ),
+        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold),
+        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold),
+        cell("sharded/rotate/carry", Tier::Bounded, Sharded3, RotateAverage, WarmStart::Carry),
         // m = 1 over one full-batch shard: the serial cascade rebuilt
         // through the replicated machinery, one merge per presentation.
         paced("batch-full/cadence-1/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold, 1),
@@ -223,8 +194,8 @@ pub struct TableSpec {
     pub n: usize,
     /// Sought clusters (also the generator's planted fine structure).
     pub k: usize,
-    /// Optional explicit `k₀` override; chosen above the dense-kernel
-    /// floor on a third of the seeds so the candidate-pruned sweep arms.
+    /// Optional explicit `k₀` override (13–24) on a third of the seeds,
+    /// so the grid also replays wide cohorts.
     pub initial_k: Option<usize>,
     /// Per-feature cardinalities, skewed: most features are narrow, a
     /// random minority wide.
@@ -296,7 +267,7 @@ pub fn run_cell(
     cell: &GridCell,
 ) -> McdcResult {
     let n = table.n_rows();
-    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm).lazy_scoring(cell.lazy);
+    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm);
     if let Some(k0) = initial_k {
         builder = builder.initial_k(k0);
     }
@@ -564,7 +535,7 @@ pub struct GateCounters {
     pub passes: u64,
     /// Full scoring sweeps.
     pub full_rescans: u64,
-    /// Sweeps skipped by lazy pruning.
+    /// Sweeps skipped by CAME's dirty-cluster tracking.
     pub skipped_rescans: u64,
     /// Rows refused at the ingestion boundary
     /// ([`mcdc_core::IngestStats::rejected_rows`]); only the
@@ -604,8 +575,9 @@ impl GateCounters {
 pub struct GateSuite {
     /// Section name in `PERF_GATES.toml`.
     pub name: &'static str,
-    /// Lazy (candidate-pruned) scoring on.
-    pub lazy: bool,
+    /// MGCPL's starting cluster count `k₀` ([`GATE_K0`] for every
+    /// checked-in suite; the `--gate` self-test raises it).
+    pub initial_k: usize,
     /// Mini-batch size; 0 = serial.
     pub batch: usize,
     /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
@@ -618,29 +590,41 @@ pub struct GateSuite {
 
 /// Rows per gate-suite table.
 const GATE_N: usize = 480;
+/// MGCPL `k₀` of every checked-in gate suite.
+pub const GATE_K0: usize = 24;
 /// Seeds each suite sums over.
 const GATE_SEEDS: [u64; 3] = [11, 12, 13];
 
-/// The checked-in gate suites: the lazy serial hot path (the one the
-/// candidate-pruned kernel accelerates — `k₀ = 24` arms it), the eager
-/// serial baseline, the replicated merge path at the per-pass barrier and
+/// The checked-in gate suites: the serial hot path (dense MGCPL plus
+/// dirty-tracked CAME), the replicated merge path at the per-pass barrier and
 /// at a fixed sub-pass cadence (`m = batch/4`, so `merges` must run at
 /// ≈ 4× the barrier suite per pass — the cadence growth law made a
 /// deterministic gate), and the streaming-ingest boundary under seeded
 /// row corruption.
 pub fn gate_suites() -> Vec<GateSuite> {
     vec![
-        GateSuite { name: "serial-lazy", lazy: true, batch: 0, cadence: 0, ingest: false },
-        GateSuite { name: "serial-eager", lazy: false, batch: 0, cadence: 0, ingest: false },
-        GateSuite { name: "replicated", lazy: false, batch: GATE_N / 4, cadence: 0, ingest: false },
+        GateSuite { name: "serial", initial_k: GATE_K0, batch: 0, cadence: 0, ingest: false },
+        GateSuite {
+            name: "replicated",
+            initial_k: GATE_K0,
+            batch: GATE_N / 4,
+            cadence: 0,
+            ingest: false,
+        },
         GateSuite {
             name: "replicated-cadence",
-            lazy: false,
+            initial_k: GATE_K0,
             batch: GATE_N / 4,
             cadence: GATE_N / 16,
             ingest: false,
         },
-        GateSuite { name: "streaming-ingest", lazy: false, batch: 0, cadence: 0, ingest: true },
+        GateSuite {
+            name: "streaming-ingest",
+            initial_k: GATE_K0,
+            batch: 0,
+            cadence: 0,
+            ingest: true,
+        },
     ]
 }
 
@@ -656,7 +640,7 @@ pub fn measure_suite(suite: &GateSuite) -> GateCounters {
     for &seed in &GATE_SEEDS {
         let data =
             GeneratorConfig::new("gate", GATE_N, vec![6; 8], 3).noise(0.12).generate(seed).dataset;
-        let mut builder = Mcdc::builder().seed(seed).initial_k(24).lazy_scoring(suite.lazy);
+        let mut builder = Mcdc::builder().seed(seed).initial_k(suite.initial_k);
         if suite.batch > 0 {
             builder =
                 builder.execution(ExecutionPlan::mini_batch(suite.batch)).reconcile(DeltaAverage);
@@ -855,8 +839,8 @@ mod tests {
     #[test]
     fn grid_covers_every_arm() {
         let cells = grid();
-        assert_eq!(cells.len(), 17);
-        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.lazy));
+        assert_eq!(cells.len(), 15);
+        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::Serial));
         assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3));
         assert!(cells.iter().any(|c| c.policy == PolicyArm::RotateMomentum));
         assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Bounded));
@@ -871,7 +855,7 @@ mod tests {
         let mut names: Vec<&str> = cells.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 17, "cell names must be unique");
+        assert_eq!(names.len(), 15, "cell names must be unique");
     }
 
     #[test]
@@ -890,7 +874,7 @@ mod tests {
     fn gate_file_round_trips() {
         let suites = vec![
             (
-                "serial-lazy".to_string(),
+                "serial".to_string(),
                 GateCounters {
                     score_evals: 123,
                     merges: 0,

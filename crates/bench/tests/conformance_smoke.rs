@@ -9,7 +9,6 @@ use categorical_data::synth::GeneratorConfig;
 use categorical_data::MISSING;
 use mcdc_bench::conformance::{
     compare_counters, gate_suites, measure_suite, random_table, replay_table, run_reference,
-    GateSuite,
 };
 use mcdc_core::{DeltaAverage, ExecutionPlan, Mcdc, WarmStart};
 use mcdc_reference::{reference_mcdc, ReferenceConfig};
@@ -25,8 +24,7 @@ fn fuzz_seeds_conform_across_the_grid() {
     }
 }
 
-/// The exact tier, probed directly: serial (lazy and eager), carry
-/// warm-start, and the one-batch replicated plan must reproduce the
+/// The exact tier, probed directly: serial, carry warm-start, and the one-batch replicated plan must reproduce the
 /// oracle's partitions, κ, Θ, and labels bit-for-bit — including on a
 /// table with injected MISSING values.
 #[test]
@@ -62,16 +60,7 @@ fn exact_tier_matches_the_oracle_bit_for_bit() {
         assert_eq!(oracle.came.theta, optimized.came().theta(), "{tag}: Θ");
         assert_eq!(oracle.labels, optimized.labels(), "{tag}: labels");
     };
-    check(
-        "serial-lazy",
-        Mcdc::builder().seed(seed),
-        ReferenceConfig { seed, ..Default::default() },
-    );
-    check(
-        "serial-eager",
-        Mcdc::builder().seed(seed).lazy_scoring(false),
-        ReferenceConfig { seed, ..Default::default() },
-    );
+    check("serial", Mcdc::builder().seed(seed), ReferenceConfig { seed, ..Default::default() });
     check(
         "serial-carry",
         Mcdc::builder().seed(seed).warm_start(WarmStart::Carry),
@@ -106,16 +95,15 @@ fn fuzz_tables_are_reproducible_from_the_seed() {
 /// counters trivially pass a gate baselined on themselves.
 #[test]
 fn gate_counters_are_deterministic() {
-    let suites = gate_suites();
-    assert!(suites.iter().any(|s| s.name == "serial-lazy"), "self-test anchor suite");
-    let suite = GateSuite { name: "serial-lazy", lazy: true, batch: 0, cadence: 0, ingest: false };
+    let suite =
+        gate_suites().into_iter().find(|s| s.name == "serial").expect("self-test anchor suite");
     let first = measure_suite(&suite);
     let second = measure_suite(&suite);
     assert_eq!(first, second);
     assert!(first.score_evals > 0);
-    assert!(first.skipped_rescans > 0, "the lazy suite must actually arm the pruned kernel");
+    assert!(first.skipped_rescans > 0, "CAME's dirty tracking must skip rescans in the suite");
     assert_eq!(first.merges, 0, "serial plans never merge");
-    assert_eq!(compare_counters("serial-lazy", &first, &second, 0.05), Ok(vec![]));
+    assert_eq!(compare_counters("serial", &first, &second, 0.05), Ok(vec![]));
 }
 
 /// The replicated suite exercises the merge counter.

@@ -49,6 +49,14 @@ pub enum CameInit {
 
 /// Configurable CAME aggregator. Construct via [`Came::builder`].
 ///
+/// Step 1 tracks dirty clusters (DESIGN.md §3 "Lazy scoring"): modes and θ
+/// are frozen within an iteration, so each row carries its winner margin
+/// (second-best − best θ-Hamming distance) across iterations and is
+/// rescanned only when the accumulated mode/θ drift could overturn that
+/// margin. The skip is exact — the per-cluster drift bound (`Σ_r |Δθ_r|`
+/// plus `Σ_{r: mode changed} max(θ_r, θ_r')`) majorizes every possible
+/// distance movement — so labels are bit-for-bit those of a full scan.
+///
 /// # Example
 ///
 /// ```
@@ -71,7 +79,6 @@ pub struct Came {
     init: CameInit,
     seed: u64,
     parallel: bool,
-    lazy_scoring: bool,
     force_chunking: bool,
 }
 
@@ -83,7 +90,6 @@ pub struct CameBuilder {
     init: CameInit,
     seed: u64,
     parallel: bool,
-    lazy_scoring: bool,
     force_chunking: bool,
 }
 
@@ -95,7 +101,6 @@ impl Default for CameBuilder {
             init: CameInit::default(),
             seed: 0,
             parallel: true,
-            lazy_scoring: true,
             force_chunking: false,
         }
     }
@@ -124,21 +129,6 @@ impl CameBuilder {
     /// Seeds the random fallback initialization.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Toggles dirty-cluster lazy rescoring (on by default; see `DESIGN.md`
-    /// §3 "Lazy scoring"). Modes and θ are frozen within a Step-1
-    /// iteration, so each row carries its winner margin (second-best −
-    /// best θ-Hamming distance) across iterations; a row is rescanned only
-    /// when the accumulated mode/θ drift could overturn that margin. The
-    /// skip is exact — labels are bit-for-bit those of eager scanning —
-    /// because the per-cluster drift bound (`Σ_r |Δθ_r|` plus
-    /// `Σ_{r: mode changed} max(θ_r, θ_r')`) majorizes every possible
-    /// distance movement. `false` forces the full `n×k` scan per
-    /// iteration.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = on;
         self
     }
 
@@ -178,7 +168,6 @@ impl CameBuilder {
             init: self.init,
             seed: self.seed,
             parallel: self.parallel,
-            lazy_scoring: self.lazy_scoring,
             force_chunking: self.force_chunking,
         }
     }
@@ -194,10 +183,9 @@ pub struct CameResult {
     stats: HotPathStats,
 }
 
-// Equality is semantic (labels, θ, modes, iterations): lazy and eager runs
-// of the same aggregation count rescans differently but compute the same
-// result, and the serial ≡ parallel pins compare the computation, not the
-// counters.
+// Equality is semantic (labels, θ, modes, iterations): the serial ≡
+// parallel and reference-oracle pins compare the computation, not the
+// rescan counters.
 impl PartialEq for CameResult {
     fn eq(&self, other: &Self) -> bool {
         self.labels == other.labels
@@ -316,7 +304,6 @@ impl Came {
         let parallel = self.parallel
             && n >= PARALLEL_MIN_ROWS
             && (rayon::current_num_threads() > 1 || self.force_chunking);
-        let lazy = self.lazy_scoring;
 
         let mut stats = HotPathStats::default();
         let alloc_start = ws.allocs;
@@ -330,18 +317,18 @@ impl Came {
 
         let mut labels = vec![usize::MAX; n];
         let mut iterations = 0;
-        let mut have_prev = false;
         for _ in 0..self.max_iterations {
             iterations += 1;
             // Step 1: fix Θ and Z, recompute the partition Q (Eq. 20).
             // After the first iteration the per-cluster drift bound tells
             // which rows' cached margins still prove their winner; only the
             // rest rescan against all k modes.
-            if lazy && have_prev {
+            let decay: Option<&[f64]> = if iterations > 1 {
                 compute_decay(scratch, &modes, &theta, k);
-            }
-            let decay: Option<&[f64]> =
-                if lazy && have_prev { Some(&scratch.decay[..k]) } else { None };
+                Some(&scratch.decay[..k])
+            } else {
+                None
+            };
             let (changed, full, skipped) = assign_labels(
                 encoding,
                 &modes,
@@ -349,7 +336,6 @@ impl Came {
                 &mut labels,
                 &mut scratch.margins,
                 decay,
-                lazy,
                 parallel,
             );
             stats.full_rescans += full;
@@ -365,11 +351,8 @@ impl Came {
             // Step 2: fix Q, update modes Z and feature weights Θ (Eqs. 21–22).
             // The (Z, Θ) the assignment above used become the drift
             // reference for the next iteration's skip test.
-            if lazy {
-                copy_into(&mut scratch.prev_modes, &modes.data, allocs);
-                copy_into(&mut scratch.prev_theta, &theta, allocs);
-                have_prev = true;
-            }
+            copy_into(&mut scratch.prev_modes, &modes.data, allocs);
+            copy_into(&mut scratch.prev_theta, &theta, allocs);
             modes = modes_of_matrix(
                 encoding,
                 &layout,
@@ -419,26 +402,10 @@ fn weighted_hamming(row: &[u32], mode: &[u32], theta: &[f64]) -> f64 {
         .sum()
 }
 
-/// Fused Step-1 kernel for one object: index of the θ-Hamming-nearest mode,
-/// scanning the flat mode matrix in one pass (ties resolve to the lowest
-/// cluster index, same as the sequential loop it replaces).
-fn nearest_mode(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> usize {
-    let mut best = 0usize;
-    let mut best_dist = f64::INFINITY;
-    for l in 0..modes.k() {
-        let dist = weighted_hamming(row, modes.row(l), theta);
-        if dist < best_dist {
-            best_dist = dist;
-            best = l;
-        }
-    }
-    best
-}
-
-/// [`nearest_mode`] extended with the winner margin (second-best − best
-/// distance; `+∞` with a single mode). The winner selection runs the
-/// identical strict-`<` comparison sequence, so the verdict is bit-for-bit
-/// [`nearest_mode`]'s.
+/// Fused Step-1 kernel for one object: index of the θ-Hamming-nearest mode
+/// plus the winner margin (second-best − best distance; `+∞` with a single
+/// mode), scanning the flat mode matrix in one pass. Ties resolve to the
+/// lowest cluster index (strict `<`).
 fn nearest_mode_margin(row: &[u32], modes: &ModeMatrix, theta: &[f64]) -> (usize, f64) {
     let mut best = 0usize;
     let mut best_dist = f64::INFINITY;
@@ -506,7 +473,6 @@ fn assign_row(
     label: &mut usize,
     margin: &mut f64,
     decay: Option<&[f64]>,
-    lazy: bool,
     changed: &mut bool,
     full: &mut u64,
     skipped: &mut u64,
@@ -524,20 +490,12 @@ fn assign_row(
         }
     }
     *full += 1;
-    if lazy {
-        let (best, fresh_margin) = nearest_mode_margin(row, modes, theta);
-        if *label != best {
-            *label = best;
-            *changed = true;
-        }
-        *margin = fresh_margin;
-    } else {
-        let best = nearest_mode(row, modes, theta);
-        if *label != best {
-            *label = best;
-            *changed = true;
-        }
+    let (best, fresh_margin) = nearest_mode_margin(row, modes, theta);
+    if *label != best {
+        *label = best;
+        *changed = true;
     }
+    *margin = fresh_margin;
 }
 
 /// Step 1: recomputes every object's nearest mode, returning whether any
@@ -554,7 +512,6 @@ fn assign_labels(
     labels: &mut [usize],
     margins: &mut [f64],
     decay: Option<&[f64]>,
-    lazy: bool,
     parallel: bool,
 ) -> (bool, u64, u64) {
     let n = encoding.n_rows();
@@ -587,7 +544,6 @@ fn assign_labels(
                         label,
                         margin,
                         decay,
-                        lazy,
                         &mut changed,
                         &mut full,
                         &mut skipped,
@@ -610,7 +566,6 @@ fn assign_labels(
                 label,
                 margin,
                 decay,
-                lazy,
                 &mut changed,
                 &mut full,
                 &mut skipped,
@@ -829,8 +784,7 @@ fn guiding_granularity(encoding: &CategoricalTable, k: usize) -> Option<usize> {
 /// Moves the farthest objects into any emptied cluster so exactly `k`
 /// clusters stay populated. A moved row's cached margin no longer
 /// describes its (forced) label, so it is invalidated — the next Step-1
-/// iteration rescans exactly that row, as the eager sweep effectively
-/// would.
+/// iteration rescans exactly that row, as a full sweep would.
 fn reseed_empty_clusters(
     encoding: &CategoricalTable,
     labels: &mut [usize],

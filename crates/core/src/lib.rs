@@ -36,8 +36,8 @@
 //!   save/load roundtrip is bit-exact (DESIGN.md §9);
 //! * [`Workspace`] / [`WorkspacePool`] — reusable pass-scratch arenas:
 //!   `fit_with` runs repeated fits allocation-free once warm, and
-//!   [`HotPathStats`] reports the lazy-scoring pruning rate and workspace
-//!   growth per fit (DESIGN.md §3 "Lazy scoring").
+//!   [`HotPathStats`] reports per-fit score evaluations, CAME's
+//!   dirty-tracking skip rate and workspace growth (DESIGN.md §3).
 //!
 //! # Quickstart
 //!

@@ -22,11 +22,9 @@ use categorical_data::{CsrLayout, MISSING};
 
 use crate::execution::ShardMap;
 use crate::fault::{DeltaFault, FaultPlan, ReplicaFault};
-use crate::profile::score_all_transposed_capped;
 use crate::weights::feature_weights_into;
 use crate::workspace::{
-    copy_into, note_growth, resize_tracked, LazyCache, MgcplScratch, ReplicaSlot,
-    ReplicatedScratch, Workspace,
+    copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
 };
 use crate::{
     score_all_transposed, ClusterProfile, DeltaAverage, ExecutionPlan, HotPathStats, LearningTrace,
@@ -59,7 +57,6 @@ pub struct Mgcpl {
     max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
-    lazy_scoring: bool,
     seed: u64,
     execution: ExecutionPlan,
     reconcile: Arc<dyn Reconcile>,
@@ -79,7 +76,6 @@ impl PartialEq for Mgcpl {
             && self.max_stages == other.max_stages
             && self.weighted_similarity == other.weighted_similarity
             && self.random_init == other.random_init
-            && self.lazy_scoring == other.lazy_scoring
             && self.seed == other.seed
             && self.execution == other.execution
             && self.reconcile.describe() == other.reconcile.describe()
@@ -99,7 +95,6 @@ pub struct MgcplBuilder {
     max_stages: usize,
     weighted_similarity: bool,
     random_init: bool,
-    lazy_scoring: bool,
     seed: u64,
     execution: ExecutionPlan,
     reconcile: Arc<dyn Reconcile>,
@@ -116,7 +111,6 @@ impl PartialEq for MgcplBuilder {
             && self.max_stages == other.max_stages
             && self.weighted_similarity == other.weighted_similarity
             && self.random_init == other.random_init
-            && self.lazy_scoring == other.lazy_scoring
             && self.seed == other.seed
             && self.execution == other.execution
             && self.reconcile.describe() == other.reconcile.describe()
@@ -135,7 +129,6 @@ impl Default for MgcplBuilder {
             max_stages: 64,
             weighted_similarity: true,
             random_init: true,
-            lazy_scoring: true,
             seed: 0,
             execution: ExecutionPlan::Serial,
             reconcile: Arc::new(DeltaAverage),
@@ -191,27 +184,6 @@ impl MgcplBuilder {
     /// known to be overlap-dominated.
     pub fn random_init(mut self, on: bool) -> Self {
         self.random_init = on;
-        self
-    }
-
-    /// Toggles convergence-aware lazy scoring (on by default; see
-    /// `DESIGN.md` §3 "Lazy scoring"). The serial cascade maintains a
-    /// per-cluster *competition cap* — an upper bound on the score any
-    /// object can reach against that cluster — and scores each
-    /// re-presented object by exactly evaluating its prior winner, the
-    /// sweep's rival cursor, and only the clusters whose cap could still
-    /// reach the running runner-up score; everything else is provably
-    /// outside the top two. The pruning is *exact*: winner, rival, and the
-    /// penalty arithmetic are bit-for-bit those of eager scoring, only the
-    /// wall time changes, and a per-pass engagement gate drops back to the
-    /// dense sweep whenever pruning stops landing (churning cascade
-    /// passes), so lazy never runs meaningfully slower than eager.
-    /// Replicated plans currently fall back to eager scoring (the caps
-    /// track the serial cascade's single state line), so the toggle is a
-    /// no-op there. `false` forces eager scoring everywhere — the baseline
-    /// `hotpath_snapshot` measures `mgcpl_lazy` against.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = on;
         self
     }
 
@@ -359,7 +331,6 @@ impl MgcplBuilder {
             max_stages: self.max_stages,
             weighted_similarity: self.weighted_similarity,
             random_init: self.random_init,
-            lazy_scoring: self.lazy_scoring,
             seed: self.seed,
             execution: self.execution,
             reconcile: self.reconcile,
@@ -381,15 +352,15 @@ pub struct MgcplResult {
     pub kappa: Vec<usize>,
     /// Per-stage learning trace (Fig. 5).
     pub trace: LearningTrace,
-    /// Hot-path counters (rescans skipped by lazy scoring, workspace
-    /// growth, passes). Excluded from equality: a lazy and an eager run of
-    /// the same fit produce identical partitions but count differently.
+    /// Hot-path counters (score evaluations, workspace growth, passes).
+    /// Excluded from equality: a serial and a single-shard full-batch run
+    /// of the same fit produce identical partitions but count differently.
     pub stats: HotPathStats,
 }
 
-// Equality is semantic — partitions, κ, trace — so lazy ≡ eager pins and
-// serial ≡ full-batch pins compare what the algorithm computed, not how
-// many sweeps it took to compute it.
+// Equality is semantic — partitions, κ, trace — so serial ≡ full-batch
+// pins compare what the algorithm computed, not how many sweeps or merges
+// it took to compute it.
 impl PartialEq for MgcplResult {
     fn eq(&self, other: &Self) -> bool {
         self.partitions == other.partitions
@@ -530,78 +501,6 @@ impl Cohort {
         }
     }
 
-    /// [`sync_value_major`](Self::sync_value_major) maintaining the lazy
-    /// cache's per-feature column maxima and competition cap for cluster
-    /// `l` alongside the patch: the maxima are recomputed for exactly the
-    /// features the patch rewrites (the same entries are being scanned
-    /// anyway), so `sim_cap[l]` stays an exact majorant of the live
-    /// column.
-    fn sync_value_major_capped(
-        &mut self,
-        l: usize,
-        row: &[u32],
-        weighted: bool,
-        post_scale: f64,
-        lazy: &mut LazyCache,
-    ) {
-        let d = self.layout.n_features();
-        let k = self.len();
-        let scaled = self.profiles[l].scaled_frequencies();
-        let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
-        for (r, &code) in row.iter().enumerate() {
-            if code != MISSING {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                let mut fmax = 0.0f64;
-                for i in self.layout.range(r) {
-                    let new = w * scaled[i];
-                    self.value_major[i * k + l] = new;
-                    if new > fmax {
-                        fmax = new;
-                    }
-                }
-                feature_max[r] = fmax;
-            }
-        }
-        lazy.sim_cap[l] = post_scale * feature_max.iter().sum::<f64>();
-    }
-
-    /// [`rebuild_value_major`](Self::rebuild_value_major) additionally
-    /// deriving the lazy cache's per-feature column maxima and per-cluster
-    /// competition caps from the freshly written matrix — one fused sweep,
-    /// once per pass.
-    fn rebuild_value_major_capped(
-        &mut self,
-        weighted: bool,
-        post_scale: f64,
-        lazy: &mut LazyCache,
-        allocs: &mut u64,
-    ) {
-        let d = self.layout.n_features();
-        let k = self.len();
-        let total = self.layout.total_values();
-        resize_tracked(&mut lazy.feature_max, k * d, 0.0, allocs);
-        resize_tracked(&mut lazy.sim_cap, k, 0.0, allocs);
-        self.value_major.clear();
-        self.value_major.resize(total * k, 0.0);
-        for l in 0..k {
-            let scaled = self.profiles[l].scaled_frequencies();
-            let feature_max = &mut lazy.feature_max[l * d..(l + 1) * d];
-            for (r, fmax_slot) in feature_max.iter_mut().enumerate() {
-                let w = if weighted { self.omega[l * d + r] } else { 1.0 };
-                let mut fmax = 0.0f64;
-                for i in self.layout.range(r) {
-                    let new = w * scaled[i];
-                    self.value_major[i * k + l] = new;
-                    if new > fmax {
-                        fmax = new;
-                    }
-                }
-                *fmax_slot = fmax;
-            }
-            lazy.sim_cap[l] = post_scale * feature_max.iter().sum::<f64>();
-        }
-    }
-
     /// `*self = src.clone()` reusing every buffer whose capacity suffices;
     /// what replica slots use to refresh their local cohort from the
     /// pass-start snapshot without the clone-allocate-drop churn. When the
@@ -677,9 +576,7 @@ impl Cohort {
     }
 
     /// Removes empty clusters, compacting every parallel array and the
-    /// `assignment` indices. (The lazy cache needs no re-mapping: its caps
-    /// and the rival cursor are re-derived/bounds-checked against the
-    /// compacted cohort at the next pass-start rebuild.)
+    /// `assignment` indices.
     fn prune_empty(&mut self, assignment: &mut [Option<usize>]) {
         let d = if self.profiles.is_empty() { 0 } else { self.profiles[0].n_features() };
         let k = self.len();
@@ -930,19 +827,8 @@ impl Mgcpl {
         // All pass scratch is checked out of the workspace: grown at most
         // once, reused across passes, stages, and fits.
         let Workspace { mgcpl: scratch, allocs, .. } = ws;
-        let MgcplScratch {
-            order,
-            one_minus_rho,
-            prefactors,
-            accumulators,
-            decisions,
-            lazy,
-            replicated,
-        } = scratch;
-        // Lazy winner-margin pruning is exact only along the serial
-        // cascade's single drift chain; replicated plans fall back to eager
-        // scoring (see `DESIGN.md` §3 "Lazy scoring").
-        let lazy_on = self.lazy_scoring && shard_map.is_none();
+        let MgcplScratch { order, one_minus_rho, prefactors, accumulators, decisions, replicated } =
+            scratch;
         note_growth(order, n, allocs);
         order.clear();
         order.extend(0..n);
@@ -958,18 +844,8 @@ impl Mgcpl {
             // sequential award/penalty cascades don't depend on storage order.
             order.shuffle(rng);
 
-            if lazy_on {
-                lazy.begin_pass();
-            }
-            let post_scale = self.snapshot_pass(
-                clusters,
-                one_minus_rho,
-                prefactors,
-                accumulators,
-                d,
-                if lazy_on { Some(lazy) } else { None },
-                allocs,
-            );
+            let post_scale =
+                self.snapshot_pass(clusters, one_minus_rho, prefactors, accumulators, d, allocs);
 
             let mut changed = match shard_map.as_deref_mut() {
                 None => {
@@ -984,7 +860,6 @@ impl Mgcpl {
                         prefactors,
                         accumulators,
                         post_scale,
-                        if lazy_on { Some(lazy) } else { None },
                         stats,
                     );
                     for (&i, &c) in order.iter().zip(decisions.iter()) {
@@ -1095,11 +970,8 @@ impl Mgcpl {
     /// `1 − ρ_l` from the previous passes' win counts (Eq. 7), the hoisted
     /// `(1 − ρ_l)·u_l` prefactors, resets the pass win counters, and
     /// rebuilds the value-major scoring matrix so it reflects this pass's ω
-    /// and any pruning from the previous pass — fused, under lazy scoring,
-    /// with the derivation of the per-cluster competition caps
-    /// (DESIGN.md §3 "Lazy scoring"). Returns the post-scale that recovers
-    /// the Eq. (1) mean from the raw sweep sums.
-    #[allow(clippy::too_many_arguments)]
+    /// and any pruning from the previous pass. Returns the post-scale that
+    /// recovers the Eq. (1) mean from the raw sweep sums.
     fn snapshot_pass(
         &self,
         clusters: &mut Cohort,
@@ -1107,7 +979,6 @@ impl Mgcpl {
         prefactors: &mut Vec<f64>,
         accumulators: &mut Vec<f64>,
         d: usize,
-        lazy: Option<&mut LazyCache>,
         allocs: &mut u64,
     ) -> f64 {
         let total_prev: u64 = clusters.wins_prev.iter().sum();
@@ -1130,12 +1001,7 @@ impl Mgcpl {
         resize_tracked(accumulators, k, 0.0, allocs);
         let use_weighted = self.weighted_similarity;
         let post_scale = if use_weighted { 1.0 } else { 1.0 / d as f64 };
-        match lazy {
-            Some(lazy) => {
-                clusters.rebuild_value_major_capped(use_weighted, post_scale, lazy, allocs);
-            }
-            None => clusters.rebuild_value_major(use_weighted),
-        }
+        clusters.rebuild_value_major(use_weighted);
         post_scale
     }
 
@@ -1161,17 +1027,6 @@ impl Mgcpl {
     /// previous passes' win counts), and δ — hence `u` — changes for at
     /// most the winner and the rival per object, so only those two
     /// prefactors (and sigmoids) are recomputed instead of `k` per object.
-    ///
-    /// With `lazy` armed (serial plans; see `DESIGN.md` §3 "Lazy scoring")
-    /// presentations with a prior label route through the candidate-pruned
-    /// sweep instead: [`score_all_transposed_capped`] exactly evaluates the
-    /// prior winner, the rival cursor, and every cluster whose competition
-    /// cap (`prefactor · sim_cap`, maintained by the capped rebuild/sync
-    /// methods) could still reach the running runner-up score — everything
-    /// else provably sits outside the top two, so the verdict and the
-    /// award/penalty arithmetic are bit-for-bit the dense sweep's. The
-    /// per-pass engagement gate ([`LazyCache::should_attempt`]) drops back
-    /// to the dense kernel whenever the pruning stops landing.
     #[allow(clippy::too_many_arguments)]
     fn apply_span(
         &self,
@@ -1185,12 +1040,8 @@ impl Mgcpl {
         prefactors: &mut [f64],
         accumulators: &mut [f64],
         post_scale: f64,
-        mut lazy: Option<&mut LazyCache>,
         stats: &mut HotPathStats,
     ) -> bool {
-        // Lazy pruning never coexists with halo confidences: replicated
-        // plans (the only confidence consumers) run eager.
-        debug_assert!(lazy.is_none() || confidences.is_none());
         let eta = self.learning_rate;
         let use_weighted = self.weighted_similarity;
         let mut changed = false;
@@ -1200,77 +1051,6 @@ impl Mgcpl {
         }
         for &i in order {
             let row = table.row(i);
-
-            let attempt =
-                prior[i].is_some() && lazy.as_deref_mut().is_some_and(|lz| lz.should_attempt());
-            if attempt {
-                let lz = lazy.as_deref_mut().expect("attempt implies lazy");
-                // Candidate-pruned scoring (DESIGN.md §3 "Lazy scoring"):
-                // evaluate the hinted top-2 exactly, then only clusters
-                // whose competition cap could still reach the running
-                // runner-up score. Verdicts — winner, rival, and the
-                // rival's similarity feeding the Eq. (13) penalty — are
-                // bit-identical to the dense sweep's; most columns are
-                // simply never read.
-                let hint_winner = prior[i].expect("gated on Some above");
-                let verdict = score_all_transposed_capped(
-                    row,
-                    clusters.layout.offsets(),
-                    &clusters.value_major,
-                    post_scale,
-                    &clusters.profiles,
-                    use_weighted.then_some(clusters.omega.as_slice()),
-                    prefactors,
-                    &lz.sim_cap,
-                    hint_winner,
-                    lz.rival_cursor as usize,
-                    &mut lz.evaluated,
-                    accumulators,
-                );
-                if verdict.pruned {
-                    stats.skipped_rescans += 1;
-                } else {
-                    stats.full_rescans += 1;
-                }
-                stats.score_evals += verdict.evals;
-                lz.note_attempt(verdict.pruned);
-                let best = verdict.winner;
-                let rival = verdict.rival;
-                if rival != usize::MAX {
-                    lz.rival_cursor = rival as u32;
-                }
-
-                // Assign x_i to the winner (Eq. 4 / Eq. 10), keeping the
-                // patched columns' caps current.
-                let previous = prior[i];
-                if previous != Some(best) {
-                    if let Some(p) = previous {
-                        clusters.profiles[p].remove(row);
-                        clusters.sync_value_major_capped(p, row, use_weighted, post_scale, lz);
-                    }
-                    clusters.profiles[best].add(row);
-                    clusters.sync_value_major_capped(best, row, use_weighted, post_scale, lz);
-                    changed = true;
-                }
-                decisions.push(best);
-                clusters.wins_now[best] += 1;
-
-                // Award/penalty exactly as the dense path below.
-                let awarded = (clusters.delta[best] + eta).min(1.0);
-                if awarded != clusters.delta[best] {
-                    clusters.delta[best] = awarded;
-                    prefactors[best] = one_minus_rho[best] * sigmoid_weight(awarded);
-                }
-                if rival != usize::MAX {
-                    let penalized =
-                        (clusters.delta[rival] - eta * verdict.rival_similarity).max(0.0);
-                    if penalized != clusters.delta[rival] {
-                        clusters.delta[rival] = penalized;
-                        prefactors[rival] = one_minus_rho[rival] * sigmoid_weight(penalized);
-                    }
-                }
-                continue;
-            }
             stats.full_rescans += 1;
             stats.score_evals += prefactors.len() as u64;
 
@@ -1501,7 +1281,6 @@ impl Mgcpl {
                     &mut slot.prefactors,
                     &mut slot.accumulators,
                     post_scale,
-                    None,
                     &mut span_stats,
                 );
                 slot.stats = span_stats;

@@ -44,7 +44,6 @@ pub struct McdcBuilder {
     came_init: Option<CameInit>,
     execution: Option<ExecutionPlan>,
     reconcile: Option<Arc<dyn Reconcile>>,
-    lazy_scoring: Option<bool>,
     warm_start: Option<WarmStart>,
     fault_plan: Option<FaultPlan>,
     merge_cadence: Option<MergeCadence>,
@@ -63,7 +62,6 @@ impl PartialEq for McdcBuilder {
             && self.execution == other.execution
             && self.reconcile.as_ref().map(|p| p.describe())
                 == other.reconcile.as_ref().map(|p| p.describe())
-            && self.lazy_scoring == other.lazy_scoring
             && self.warm_start == other.warm_start
             && self.fault_plan == other.fault_plan
             && self.merge_cadence == other.merge_cadence
@@ -166,17 +164,6 @@ impl McdcBuilder {
         self
     }
 
-    /// Toggles convergence-aware lazy scoring for *both* stages (default
-    /// on): MGCPL's winner-margin pruning and CAME's dirty-cluster
-    /// tracking, each exact — labels are bit-for-bit those of eager
-    /// scoring (DESIGN.md §3 "Lazy scoring"). `false` forces the full
-    /// rescans everywhere, which is what the `hotpath_snapshot` baseline
-    /// columns measure against.
-    pub fn lazy_scoring(mut self, on: bool) -> Self {
-        self.lazy_scoring = Some(on);
-        self
-    }
-
     /// Installs a fault-injection schedule for the MGCPL stage's
     /// replicated merges (default [`FaultPlan::none()`], bit-exact with
     /// the pre-fault pipeline). See
@@ -268,10 +255,6 @@ impl McdcBuilder {
         }
         if let Some(policy) = self.reconcile {
             mgcpl = mgcpl.reconcile_arc(policy);
-        }
-        if let Some(on) = self.lazy_scoring {
-            mgcpl = mgcpl.lazy_scoring(on);
-            came = came.lazy_scoring(on);
         }
         if let Some(warm) = self.warm_start {
             mgcpl = mgcpl.warm_start(warm);

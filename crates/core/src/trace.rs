@@ -1,23 +1,24 @@
 /// Hot-path execution counters for one fit (MGCPL or CAME).
 ///
 /// Observability, not semantics: two runs that produce identical labels
-/// may count differently (an eager run performs every rescan a lazy run
-/// skips), so result types exclude these counters from their equality —
-/// see `MgcplResult` / `CameResult`.
+/// may count differently (a single-shard full-batch run merges where a
+/// serial run does not), so result types exclude these counters from their
+/// equality — see `MgcplResult` / `CameResult`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HotPathStats {
     /// Full object rescans performed (one `d×k` scoring sweep each).
     pub full_rescans: u64,
-    /// Rescans skipped by the lazy winner-margin pruning (DESIGN.md §3
-    /// "Lazy scoring"); each skip replaces a `d×k` sweep with an `O(d)`
-    /// (MGCPL) or `O(1)` (CAME) update.
+    /// Rescans skipped by CAME's dirty-cluster tracking (DESIGN.md §3
+    /// "Lazy scoring"); each skip replaces a `σ×k` distance scan with an
+    /// `O(1)` margin decay. MGCPL scores every presentation densely and
+    /// always reports 0.
     pub skipped_rescans: u64,
     /// Object–cluster score evaluations performed: each `O(d)` similarity
     /// (MGCPL) or θ-Hamming distance (CAME) computed against one cluster.
-    /// A dense sweep over `k` live clusters contributes `k`; the lazy
-    /// kernel contributes only the candidates it actually scored. This is
-    /// the deterministic work measure the conformance perf gates compare
-    /// (DESIGN.md §10) — unlike wall time, it is machine-independent.
+    /// A dense sweep over `k` live clusters contributes `k`; a CAME row
+    /// skipped by dirty tracking contributes 0. This is the deterministic
+    /// work measure the conformance perf gates compare (DESIGN.md §10) —
+    /// unlike wall time, it is machine-independent.
     pub score_evals: u64,
     /// Cluster-profile merge operations performed while reconciling
     /// replicated passes: one per (shard, cluster) profile folded into a

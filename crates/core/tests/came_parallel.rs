@@ -10,6 +10,7 @@
 
 use categorical_data::synth::GeneratorConfig;
 use mcdc_core::{encode_partitions, Came, CameInit, ExecutionPlan};
+use mcdc_reference::reference_came;
 
 #[test]
 fn parallel_assignment_matches_serial_on_10k_rows() {
@@ -61,29 +62,29 @@ fn parallel_random_init_also_matches_serial() {
 #[test]
 fn chunked_lazy_tracking_matches_serial_eager() {
     // Dirty-cluster tracking must stay exact through the chunked path:
-    // lazy-chunked, lazy-serial, and eager-serial all agree bit for bit.
+    // chunked, serial, and the reference oracle's full scan all agree bit
+    // for bit on labels, θ and iteration count.
     let out =
         GeneratorConfig::new("par", 9_000, vec![4; 8], 3).subclusters(2).noise(0.2).generate(31);
     let fine = out.fine_labels.clone();
     let coarse = out.dataset.labels().to_vec();
     let encoding = encode_partitions(&[fine, coarse]).expect("valid partitions");
 
+    let bits = |theta: &[f64]| theta.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
     for k in [2usize, 4] {
-        let eager = Came::builder()
-            .lazy_scoring(false)
-            .execution(ExecutionPlan::Serial)
-            .build()
-            .fit(&encoding, k)
-            .unwrap();
-        let lazy_serial =
+        let reference = reference_came(&encoding, k, true, 0).unwrap();
+        let serial =
             Came::builder().execution(ExecutionPlan::Serial).build().fit(&encoding, k).unwrap();
-        let lazy_chunked = Came::builder()
+        let chunked = Came::builder()
             .execution(ExecutionPlan::mini_batch(1_500))
             .force_chunking(true)
             .build()
             .fit(&encoding, k)
             .unwrap();
-        assert_eq!(eager, lazy_serial, "lazy serial diverged at k={k}");
-        assert_eq!(eager, lazy_chunked, "lazy chunked diverged at k={k}");
+        for (name, came) in [("serial", &serial), ("chunked", &chunked)] {
+            assert_eq!(came.labels(), reference.labels.as_slice(), "{name} labels at k={k}");
+            assert_eq!(bits(came.theta()), bits(&reference.theta), "{name} θ at k={k}");
+            assert_eq!(came.iterations(), reference.iterations, "{name} iterations at k={k}");
+        }
     }
 }

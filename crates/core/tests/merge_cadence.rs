@@ -5,15 +5,15 @@
 //!   `MergeCadence::per_pass()` — are **bit-identical** to the untouched
 //!   builder: partitions, κ/Θ trace, *and* every `HotPathStats` counter,
 //!   across the `ExecutionPlan` × `Reconcile` (incl. `Rotate`) ×
-//!   `WarmStart` × lazy grid, property-tested over random MISSING-valued
-//!   tables and pinned on the nested suite;
+//!   `WarmStart` grid, property-tested over random MISSING-valued tables
+//!   and pinned on the nested suite;
 //! * `m = 1` with a single shard reproduces the **serial** cascade bit for
 //!   bit — the staleness-free endpoint of the cadence slide;
 //! * a sub-pass cadence is deterministic for a fixed seed, and a serial
 //!   plan ignores the knob entirely;
 //! * the `merges` counter scales exactly with the segment count
 //!   (≈ batch/m — the `replicated-cadence` suite in `PERF_GATES.toml`
-//!   gates the same growth law), while eager `score_evals` stay flat;
+//!   gates the same growth law), while `score_evals` stay flat;
 //! * `Rotate { period }` counts *mini*-merges: at cadence m a rotating
 //!   policy rotates ⌈batch/m⌉ times more often per pass, never silently —
 //!   the satellite fix this test pins.
@@ -118,23 +118,17 @@ proptest! {
     #[test]
     fn covering_cadence_is_bit_identical_to_the_untouched_builder(
         table in arbitrary_table_with_missing(),
-        toggles in 0u8..4,
+        carry in 0u8..2,
         seed in 0u64..50,
     ) {
         let n = table.n_rows();
-        let warm = if toggles & 1 == 1 { WarmStart::Carry } else { WarmStart::Cold };
-        let lazy = toggles & 2 == 2;
+        let warm = if carry == 1 { WarmStart::Carry } else { WarmStart::Cold };
         for plan in plans(n) {
             let batch = batch_of(&plan, n);
             for policy in policies() {
                 let baseline = fit(
                     &table,
-                    |b| {
-                        b.execution(plan.clone())
-                            .reconcile(Boxed(policy()))
-                            .warm_start(warm)
-                            .lazy_scoring(lazy)
-                    },
+                    |b| b.execution(plan.clone()).reconcile(Boxed(policy())).warm_start(warm),
                     seed,
                 );
                 for cadence in [MergeCadence::every(batch), MergeCadence::per_pass()] {
@@ -144,7 +138,6 @@ proptest! {
                             b.execution(plan.clone())
                                 .reconcile(Boxed(policy()))
                                 .warm_start(warm)
-                                .lazy_scoring(lazy)
                                 .merge_cadence(cadence)
                         },
                         seed,
@@ -170,9 +163,7 @@ proptest! {
         seed in 0u64..50,
     ) {
         let n = table.n_rows();
-        // Serial runs eager here so both sides count the same sweeps; the
-        // labels would match either way (lazy is exact).
-        let serial = fit(&table, |b| b.lazy_scoring(false), seed);
+        let serial = fit(&table, |b| b, seed);
         let unit = fit(
             &table,
             |b| {
@@ -190,38 +181,30 @@ proptest! {
 #[test]
 fn covering_cadence_pins_bit_exact_over_the_full_grid() {
     // The exhaustive deterministic grid: every `ExecutionPlan` shape ×
-    // every `Reconcile` shape (incl. `Rotate`) × warm start × lazy, each
-    // compared against the identical builder with the covering cadence.
+    // every `Reconcile` shape (incl. `Rotate`) × warm start, each compared
+    // against the identical builder with the covering cadence.
     let data = nested(240, 7);
     for plan in plans(240) {
         let batch = batch_of(&plan, 240);
         for policy in policies() {
             for warm in [WarmStart::Cold, WarmStart::Carry] {
-                for lazy in [true, false] {
-                    let baseline = fit(
-                        data.table(),
-                        |b| {
-                            b.execution(plan.clone())
-                                .reconcile(Boxed(policy()))
-                                .warm_start(warm)
-                                .lazy_scoring(lazy)
-                        },
-                        9,
-                    );
-                    let pinned = fit(
-                        data.table(),
-                        |b| {
-                            b.execution(plan.clone())
-                                .reconcile(Boxed(policy()))
-                                .warm_start(warm)
-                                .lazy_scoring(lazy)
-                                .merge_cadence(MergeCadence::every(batch))
-                        },
-                        9,
-                    );
-                    assert_eq!(baseline.stats, pinned.stats, "counters moved under {plan:?}");
-                    assert_eq!(baseline, pinned, "covering cadence diverged under {plan:?}");
-                }
+                let baseline = fit(
+                    data.table(),
+                    |b| b.execution(plan.clone()).reconcile(Boxed(policy())).warm_start(warm),
+                    9,
+                );
+                let pinned = fit(
+                    data.table(),
+                    |b| {
+                        b.execution(plan.clone())
+                            .reconcile(Boxed(policy()))
+                            .warm_start(warm)
+                            .merge_cadence(MergeCadence::every(batch))
+                    },
+                    9,
+                );
+                assert_eq!(baseline.stats, pinned.stats, "counters moved under {plan:?}");
+                assert_eq!(baseline, pinned, "covering cadence diverged under {plan:?}");
             }
         }
     }
@@ -231,7 +214,7 @@ fn covering_cadence_pins_bit_exact_over_the_full_grid() {
 fn single_shard_unit_cadence_reproduces_serial_on_the_nested_suite() {
     let data = nested(240, 3);
     for seed in [1u64, 5, 9] {
-        let serial = fit(data.table(), |b| b.lazy_scoring(false), seed);
+        let serial = fit(data.table(), |b| b, seed);
         let unit = fit(
             data.table(),
             |b| b.execution(ExecutionPlan::mini_batch(240)).merge_cadence(MergeCadence::every(1)),
@@ -277,7 +260,7 @@ fn sub_pass_cadence_is_deterministic_per_seed() {
 fn merges_scale_exactly_with_the_segment_count() {
     // One stage, one pass, 4 shards of 60: the merge count at cadence m
     // must be exactly ⌈n / (m·shards)⌉ × the barrier's single-merge cost,
-    // and eager score_evals must not move (same rows, same k, no faults).
+    // and score_evals must not move (same rows, same k, no faults).
     // This is the growth law the `replicated-cadence` gate suite pins.
     let data = nested(240, 7);
     let plan = ExecutionPlan::mini_batch(60);
@@ -306,7 +289,7 @@ fn merges_scale_exactly_with_the_segment_count() {
         );
         assert_eq!(
             stats.score_evals, barrier.score_evals,
-            "eager sweep work must not depend on the cadence at m = {m}"
+            "sweep work must not depend on the cadence at m = {m}"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! The *reference* MCDC: a slow, obviously-correct transcription of the
 //! paper's pseudocode (MGCPL, Alg. 1; CAME, Alg. 2), kept deliberately free
 //! of every optimization the production tree carries — no CSR profiles, no
-//! SoA cohort, no fused or value-major scoring kernels, no lazy pruning, no
+//! SoA cohort, no fused or value-major scoring kernels, no dirty tracking, no
 //! replica-merge execution. Nested `Vec`s, textbook per-attribute
 //! similarity, one object at a time.
 //!

@@ -7,9 +7,8 @@
 # fmt/clippy keep the tree warning-free, the rustdoc build (warnings
 # denied) + doctests keep the documented API contracts honest, and the
 # perf-smoke step (`hotpath_snapshot --quick`, n = 10k) fails on
-# panics/NaN medians, on `mgcpl_lazy` losing to `mgcpl_explore` beyond
-# noise tolerance, and on the lazy pruning never firing — so perf
-# regressions surface immediately too. The inference smoke
+# panics/NaN medians and on CAME's dirty tracking never skipping a
+# rescan — so perf regressions surface immediately too. The inference smoke
 # (`infer_hotpath --quick`) times the frozen-model serving path on three
 # shapes and fails on panics/NaN medians, on frozen/live argmax parity
 # breaking on the pinned seed, or on the frozen kernels losing to the
