@@ -158,24 +158,11 @@ fn replay_verbose(seed: u64) -> bool {
         "replay seed={seed}: n={} k={} k0={:?} cards={:?} noise={:.3} missing={:.3}",
         spec.n, spec.k, spec.initial_k, spec.cardinalities, spec.noise, spec.missing
     );
-    let oracle_cold = run_reference(&table, spec.k, spec.initial_k, seed, false);
-    let oracle_carry = run_reference(&table, spec.k, spec.initial_k, seed, true);
-    println!(
-        "  oracle κ = {:?} (cold), {:?} (carry)",
-        oracle_cold.mgcpl.kappa, oracle_carry.mgcpl.kappa
-    );
+    let oracle = run_reference(&table, spec.k, spec.initial_k, seed);
+    println!("  oracle κ = {:?}", oracle.mgcpl.kappa);
     let mut ok = true;
     for cell in grid() {
-        let verdict = cell_divergence(
-            &table,
-            spec.k,
-            spec.initial_k,
-            seed,
-            &cell,
-            &oracle_cold,
-            &oracle_carry,
-        );
-        match verdict {
+        match cell_divergence(&table, spec.k, spec.initial_k, seed, &cell, &oracle) {
             None => println!("  {:32} OK ({:?})", cell.name, cell.tier),
             Some(detail) => {
                 ok = false;
@@ -250,7 +237,6 @@ fn gate_self_test(baselines: &[(String, GateCounters)], tolerance: f64) -> bool 
         name: "serial",
         initial_k: 2 * GATE_K0,
         batch: 0,
-        cadence: 0,
         ingest: false,
     });
     match compare_counters(name, baseline, &inflated, tolerance) {

@@ -1,122 +1,119 @@
-//! Quality-band and quality-recovery ablation of the reconciliation
-//! layer (DESIGN.md §5, §7, §12): sweeps policy × rotation period ×
-//! warm-start × batch size on the well-separated and the nested
-//! high-overlap synthetic suites, 10 fit seeds each, and writes
-//! `BENCH_reconcile.json` with the per-cell ACC/ARI mean and band
-//! (max − min across seeds). The serial engine rides along as the
-//! reference: the open question this ablation answers is which
-//! replicated configuration recovers serial's nested-suite *mean* (the
-//! band question was settled by the §5 grid — δ-momentum — and those
-//! cells are re-measured here unchanged). The cadence axis (DESIGN.md
-//! §12) re-runs each base policy at sub-pass merge cadences
-//! m ∈ {1, n/16, n/4, batch}, sliding the staleness window between
-//! serial-equivalent (m = 1) and the per-pass barrier (m = batch).
+//! Significance harness for the replicated engine's one reconciliation
+//! knob, the shard-overlap halo (DESIGN.md §5).
+//!
+//! On the well-separated and the nested high-overlap synthetic suites it
+//! fits, per fit seed, the serial reference and three replicated plans —
+//! `mini_batch(n/4)`, `mini_batch(n/8)` and a placement-derived `Sharded`
+//! plan (`GranularPartitioner` over 4 workers) — each disjoint and with a
+//! halo (n/32 rows for the mini-batch plans, `suggested_halo` for the
+//! placement). Every halo arm is compared with its disjoint twin by the
+//! two-sided paired Wilcoxon signed-rank test over the fit seeds (the test
+//! the paper uses for Table III). `BENCH_reconcile.json` records per-seed
+//! ACC, per-arm summaries and the paired p-values.
 //!
 //! Usage: `cargo run --release -p mcdc-bench --bin reconcile_ablation
 //!        [--out PATH] [--seeds N] [--n ROWS] [--quick]`
 //!
-//! `--quick` runs a tiny smoke grid (n = 240, 2 seeds, one batch size,
-//! one rotating + one degenerate + one sub-pass-cadence configuration),
-//! asserts every metric is finite, that the rotating configurations
-//! actually rotated (the cadence one at mini-merge granularity), and
-//! writes nothing — the `scripts/verify.sh` gate.
+//! `--quick` runs a tiny grid (n = 240, 2 seeds) and writes nothing — the
+//! `scripts/verify.sh` gate. It fails on a panic, on a non-finite metric,
+//! or when a halo arm scores no more rows per pass than its disjoint twin
+//! (the halo path never ran). Rows scored per pass is MGCPL's
+//! `full_rescans / passes`: exactly n for a disjoint plan, n plus the
+//! borrowed rows under a halo. Total `score_evals` is not the check,
+//! because a halo fit may converge in fewer passes and score less overall.
 
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::Dataset;
-use cluster_eval::{accuracy, adjusted_rand_index};
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, Mcdc, McdcBuilder, MergeCadence, OverlapShards,
-    Reconcile, Rotate, WarmStart,
-};
+use cluster_eval::{accuracy, adjusted_rand_index, wilcoxon_signed_rank};
+use mcdc_core::{ExecutionPlan, Mcdc, Mgcpl};
+use mcdc_dist_sim::{execution_plan_from_placement, suggested_halo, GranularPartitioner};
 
-/// The base (per-pass) merge rule of one configuration.
-#[derive(Debug, Clone, Copy)]
-enum Base {
-    Average,
-    Momentum(f64),
-    Overlap(usize),
-}
+/// Workers of the placement-derived `Sharded` plan.
+const WORKERS: usize = 4;
 
-/// One replicated configuration under test: base policy × rotation period
-/// × warm-start mode × merge cadence (0 = per-pass barrier).
-#[derive(Debug, Clone, Copy)]
-struct Config {
-    base: Base,
-    rotation: usize,
-    warm: WarmStart,
-    cadence: usize,
-}
-
-impl Config {
-    /// The canonical policy label (`ReconcileDescriptor`'s `Display` of
-    /// the composed policy), so the JSON labels can never drift from what
-    /// the policies report.
-    fn policy_label(&self) -> String {
-        self.describe_policy().to_string()
-    }
-
-    fn describe_policy(&self) -> mcdc_core::ReconcileDescriptor {
-        let inner: Box<dyn Reconcile> = match self.base {
-            Base::Average => Box::new(DeltaAverage),
-            Base::Momentum(beta) => Box::new(DeltaMomentum { beta }),
-            Base::Overlap(halo) => Box::new(OverlapShards { halo }),
-        };
-        mcdc_core::ReconcileDescriptor { rotation: self.rotation, ..inner.describe() }
-    }
-
-    fn warm_label(&self) -> &'static str {
-        match self.warm {
-            WarmStart::Cold => "cold",
-            WarmStart::Carry => "carry",
-        }
-    }
-
-    /// Applies the composed policy + warm-start mode + merge cadence to a
-    /// builder. Each `Base` × rotation arm instantiates the concrete policy
-    /// type — `Rotate` composes by wrapping, so the rotating arms reuse the
-    /// same inner policies. `MergeCadence::every(0)` is the per-pass
-    /// barrier, so cadence 0 cells run the untouched default path.
-    fn apply(&self, builder: McdcBuilder) -> McdcBuilder {
-        let builder =
-            builder.warm_start(self.warm).merge_cadence(MergeCadence::every(self.cadence));
-        match (self.base, self.rotation) {
-            (Base::Average, 0) => builder.reconcile(DeltaAverage),
-            (Base::Momentum(beta), 0) => builder.reconcile(DeltaMomentum { beta }),
-            (Base::Overlap(halo), 0) => builder.reconcile(OverlapShards { halo }),
-            (Base::Average, p) => builder.reconcile(Rotate::every(p)),
-            (Base::Momentum(beta), p) => {
-                builder.reconcile(Rotate { period: p, inner: DeltaMomentum { beta } })
-            }
-            (Base::Overlap(halo), p) => {
-                builder.reconcile(Rotate { period: p, inner: OverlapShards { halo } })
-            }
-        }
-    }
-
-    /// Runs one fit; returns the labels and the rotation count the MGCPL
-    /// stage reported.
-    fn fit(&self, plan: &ExecutionPlan, seed: u64, data: &Dataset, k: usize) -> (Vec<usize>, u64) {
-        let result = self
-            .apply(Mcdc::builder().seed(seed).execution(plan.clone()))
-            .build()
-            .fit(data.table(), k)
-            .expect("ablation fit succeeds");
-        (result.labels().to_vec(), result.mgcpl().stats.rotations)
-    }
-}
-
-struct Entry {
+/// One fitted arm: a plan at one halo width, over every fit seed.
+struct Arm {
     suite: &'static str,
     plan: String,
-    policy: String,
-    rotation: usize,
-    warm: &'static str,
-    cadence: usize,
-    acc_mean: f64,
-    acc_min: f64,
-    acc_max: f64,
-    ari_mean: f64,
-    ari_min: f64,
+    halo: usize,
+    acc: Vec<f64>,
+    ari: Vec<f64>,
+    /// MGCPL score evaluations summed over the fit seeds.
+    score_evals: u64,
+    /// MGCPL rows scored (`full_rescans`) and passes, summed over seeds.
+    rows_scored: u64,
+    passes: u64,
+}
+
+impl Arm {
+    fn run(
+        suite: &'static str,
+        plan_label: String,
+        plan: &ExecutionPlan,
+        halo: usize,
+        data: &Dataset,
+        k: usize,
+        seeds: u64,
+    ) -> Arm {
+        let mut arm = Arm {
+            suite,
+            plan: plan_label,
+            halo,
+            acc: Vec::new(),
+            ari: Vec::new(),
+            score_evals: 0,
+            rows_scored: 0,
+            passes: 0,
+        };
+        for seed in 1..=seeds {
+            let result = Mcdc::builder()
+                .seed(seed)
+                .execution(plan.clone())
+                .halo(halo)
+                .build()
+                .fit(data.table(), k)
+                .expect("ablation fit succeeds");
+            let acc = accuracy(data.labels(), result.labels());
+            let ari = adjusted_rand_index(data.labels(), result.labels());
+            assert!(
+                acc.is_finite() && ari.is_finite(),
+                "non-finite metric on {suite}/{}/halo={halo} (seed {seed})",
+                arm.plan
+            );
+            arm.acc.push(acc);
+            arm.ari.push(ari);
+            let stats = &result.mgcpl().stats;
+            arm.score_evals += stats.score_evals;
+            arm.rows_scored += stats.full_rescans;
+            arm.passes += stats.passes;
+        }
+        arm
+    }
+
+    fn rows_per_pass(&self) -> f64 {
+        self.rows_scored as f64 / self.passes as f64
+    }
+}
+
+/// A halo arm against its disjoint twin.
+struct Comparison {
+    suite: &'static str,
+    plan: String,
+    halo: usize,
+    mean_diff: f64,
+    p_value: f64,
+}
+
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
+}
+
+fn min(v: &[f64]) -> f64 {
+    v.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+fn max(v: &[f64]) -> f64 {
+    v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
 fn suites(n: usize) -> Vec<(&'static str, Dataset, usize)> {
@@ -143,250 +140,149 @@ fn suites(n: usize) -> Vec<(&'static str, Dataset, usize)> {
     ]
 }
 
+/// The replicated plans of one suite, each paired with its halo width:
+/// two mini-batch plans at halo n/32 and the placement-derived `Sharded`
+/// plan at `suggested_halo`.
+fn replicated_plans(n: usize, data: &Dataset) -> Vec<(String, ExecutionPlan, usize)> {
+    let granular = Mgcpl::builder().seed(1).build().fit(data.table()).expect("placement fit");
+    let placement = GranularPartitioner::new(WORKERS).place(&granular);
+    let halo = (n / 32).max(1);
+    vec![
+        (format!("minibatch({})", n / 4), ExecutionPlan::mini_batch(n / 4), halo),
+        (format!("minibatch({})", n / 8), ExecutionPlan::mini_batch(n / 8), halo),
+        (
+            format!("placement({WORKERS})"),
+            execution_plan_from_placement(&placement),
+            suggested_halo(&placement),
+        ),
+    ]
+}
+
+/// Fits every arm of every suite: serial, then each replicated plan
+/// disjoint and at its halo. Returns the arms and the halo-vs-disjoint
+/// comparisons.
+fn run_grid(n: usize, seeds: u64) -> (Vec<Arm>, Vec<Comparison>) {
+    let mut arms = Vec::new();
+    let mut comparisons = Vec::new();
+    for (suite, data, k) in suites(n) {
+        arms.push(Arm::run(suite, "serial".to_owned(), &ExecutionPlan::Serial, 0, &data, k, seeds));
+        for (label, plan, halo) in replicated_plans(n, &data) {
+            let disjoint = Arm::run(suite, label.clone(), &plan, 0, &data, k, seeds);
+            let overlap = Arm::run(suite, label.clone(), &plan, halo, &data, k, seeds);
+            assert!(
+                overlap.rows_per_pass() > disjoint.rows_per_pass(),
+                "halo arm {suite}/{label}/halo={halo} scored no more rows per pass than its \
+                 disjoint twin ({} vs {}): the halo path never ran",
+                overlap.rows_per_pass(),
+                disjoint.rows_per_pass()
+            );
+            comparisons.push(Comparison {
+                suite,
+                plan: label,
+                halo,
+                mean_diff: mean(&overlap.acc) - mean(&disjoint.acc),
+                p_value: wilcoxon_signed_rank(&overlap.acc, &disjoint.acc).p_value,
+            });
+            arms.push(disjoint);
+            arms.push(overlap);
+        }
+    }
+    (arms, comparisons)
+}
+
+fn print_grid(arms: &[Arm], comparisons: &[Comparison]) {
+    println!(
+        "{:<16} {:<16} {:>5} {:>9} {:>9} {:>9} {:>9} {:>12} {:>9}",
+        "suite",
+        "plan",
+        "halo",
+        "acc mean",
+        "acc min",
+        "acc band",
+        "ari mean",
+        "score_evals",
+        "rows/pass"
+    );
+    for arm in arms {
+        println!(
+            "{:<16} {:<16} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>12} {:>9.1}",
+            arm.suite,
+            arm.plan,
+            arm.halo,
+            mean(&arm.acc),
+            min(&arm.acc),
+            max(&arm.acc) - min(&arm.acc),
+            mean(&arm.ari),
+            arm.score_evals,
+            arm.rows_per_pass()
+        );
+    }
+    println!("\nhalo vs disjoint (paired Wilcoxon over fit seeds):");
+    for c in comparisons {
+        println!(
+            "{:<16} {:<16} halo={:<4} Δacc={:+.3} p={:.3e}",
+            c.suite, c.plan, c.halo, c.mean_diff, c.p_value
+        );
+    }
+}
+
 fn main() {
     let args = Args::parse();
     if args.quick {
-        run_quick();
+        let (arms, comparisons) = run_grid(240, 2);
+        print_grid(&arms, &comparisons);
+        println!("reconcile_ablation --quick: OK");
         return;
     }
-
-    let suites = suites(args.n);
-    let batches = [args.n / 4, args.n / 8];
-    let bases =
-        [Base::Average, Base::Momentum(0.5), Base::Momentum(0.9), Base::Overlap(args.n / 32)];
-    let rotations = [0usize, 1, 4];
-    let warms = [WarmStart::Cold, WarmStart::Carry];
-
-    let mut entries: Vec<Entry> = Vec::new();
-    println!(
-        "{:<16} {:<16} {:<34} {:>6} {:>5} {:>9} {:>9} {:>9} {:>9}",
-        "suite", "plan", "policy", "warm", "cad", "acc mean", "acc min", "acc band", "ari mean"
-    );
-    let mut record = |suite: &'static str,
-                      plan: String,
-                      policy: String,
-                      rotation: usize,
-                      warm: &'static str,
-                      cadence: usize,
-                      runs: &[(f64, f64)]| {
-        let accs: Vec<f64> = runs.iter().map(|r| r.0).collect();
-        let aris: Vec<f64> = runs.iter().map(|r| r.1).collect();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = |v: &[f64]| v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let entry = Entry {
-            suite,
-            plan,
-            policy,
-            rotation,
-            warm,
-            cadence,
-            acc_mean: mean(&accs),
-            acc_min: min(&accs),
-            acc_max: max(&accs),
-            ari_mean: mean(&aris),
-            ari_min: min(&aris),
-        };
-        assert!(
-            entry.acc_mean.is_finite() && entry.ari_mean.is_finite(),
-            "non-finite metric in {suite}/{}/{}",
-            entry.plan,
-            entry.policy
-        );
-        println!(
-            "{:<16} {:<16} {:<34} {:>6} {:>5} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
-            entry.suite,
-            entry.plan,
-            entry.policy,
-            entry.warm,
-            entry.cadence,
-            entry.acc_mean,
-            entry.acc_min,
-            entry.acc_max - entry.acc_min,
-            entry.ari_mean
-        );
-        entries.push(entry);
-    };
-
-    for (suite, data, k) in &suites {
-        // Serial reference: no reconciliation happens, so the policy/rotation
-        // columns are moot, but warm start is plan-agnostic — both modes
-        // anchor what the replicated grid is judged against.
-        for warm in warms {
-            let config = Config { base: Base::Average, rotation: 0, warm, cadence: 0 };
-            let serial_runs: Vec<(f64, f64)> = (1..=args.seeds)
-                .map(|seed| {
-                    let (labels, _) = config.fit(&ExecutionPlan::Serial, seed, data, *k);
-                    (accuracy(data.labels(), &labels), adjusted_rand_index(data.labels(), &labels))
-                })
-                .collect();
-            record(
-                suite,
-                "serial".to_owned(),
-                "—".to_owned(),
-                0,
-                config.warm_label(),
-                0,
-                &serial_runs,
-            );
-        }
-
-        for &batch in &batches {
-            let plan = ExecutionPlan::mini_batch(batch);
-            for &base in &bases {
-                for &rotation in &rotations {
-                    for &warm in &warms {
-                        let config = Config { base, rotation, warm, cadence: 0 };
-                        let runs: Vec<(f64, f64)> = (1..=args.seeds)
-                            .map(|seed| {
-                                let (labels, rotations_fired) = config.fit(&plan, seed, data, *k);
-                                // A long-period config may legitimately
-                                // converge before its first rotation; the
-                                // reverse — rotating with period 0 — is
-                                // always a bug.
-                                assert!(
-                                    rotation != 0 || rotations_fired == 0,
-                                    "non-rotating configuration fired {rotations_fired} rotations"
-                                );
-                                (
-                                    accuracy(data.labels(), &labels),
-                                    adjusted_rand_index(data.labels(), &labels),
-                                )
-                            })
-                            .collect();
-                        record(
-                            suite,
-                            format!("minibatch({batch})"),
-                            config.policy_label(),
-                            rotation,
-                            config.warm_label(),
-                            0,
-                            &runs,
-                        );
-                    }
-                }
-            }
-
-            // The cadence axis (DESIGN.md §12): each base policy re-run at
-            // sub-pass merge cadences, no rotation, cold start. m = 1 is the
-            // serial-equivalent endpoint, m = batch the per-pass barrier
-            // (identical to the cadence-0 cells above — kept so the JSON
-            // pins the equivalence), and the middle points trace how much
-            // staleness the blend tolerates before quality moves.
-            let mut cadences = vec![1usize, args.n / 16, args.n / 4, batch];
-            cadences.sort_unstable();
-            cadences.dedup();
-            for &base in &bases {
-                for &cadence in &cadences {
-                    let config = Config { base, rotation: 0, warm: WarmStart::Cold, cadence };
-                    let runs: Vec<(f64, f64)> = (1..=args.seeds)
-                        .map(|seed| {
-                            let (labels, rotations_fired) = config.fit(&plan, seed, data, *k);
-                            assert_eq!(
-                                rotations_fired, 0,
-                                "non-rotating cadence configuration rotated"
-                            );
-                            (
-                                accuracy(data.labels(), &labels),
-                                adjusted_rand_index(data.labels(), &labels),
-                            )
-                        })
-                        .collect();
-                    record(
-                        suite,
-                        format!("minibatch({batch})"),
-                        config.policy_label(),
-                        0,
-                        config.warm_label(),
-                        cadence,
-                        &runs,
-                    );
-                }
-            }
-        }
-    }
-
-    let json = render_json(&entries, args.seeds, args.n);
-    std::fs::write(&args.out, json).expect("write BENCH_reconcile.json");
+    let (arms, comparisons) = run_grid(args.n, args.seeds);
+    print_grid(&arms, &comparisons);
+    std::fs::write(&args.out, render_json(&arms, &comparisons, args.seeds, args.n))
+        .expect("write BENCH_reconcile.json");
     println!("\nwrote {}", args.out);
 }
 
-/// The `--quick` smoke grid: asserts the quality-recovery machinery is
-/// alive (no panic, finite metrics, rotation actually fires — for the
-/// sub-pass-cadence configuration at mini-merge granularity, per
-/// DESIGN.md §12 — and degenerate configurations stay degenerate)
-/// without measuring anything.
-fn run_quick() {
-    let n = 240;
-    let suites = suites(n);
-    let plan = ExecutionPlan::mini_batch(60);
-    let configs = [
-        Config { base: Base::Average, rotation: 0, warm: WarmStart::Cold, cadence: 0 },
-        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Carry, cadence: 0 },
-        // Sub-pass cadence smoke: m = 15 on 4 shards slices each pass of
-        // 240 presentations into 4 mini-merges; period 1 rotates at every
-        // one, so `rotations > 0` proves the sub-pass merge path ran.
-        Config { base: Base::Momentum(0.9), rotation: 1, warm: WarmStart::Cold, cadence: 15 },
-    ];
-    for (suite, data, k) in &suites {
-        for config in &configs {
-            for seed in 1..=2u64 {
-                let (labels, rotations) = config.fit(&plan, seed, data, *k);
-                let acc = accuracy(data.labels(), labels.as_slice());
-                let ari = adjusted_rand_index(data.labels(), labels.as_slice());
-                assert!(
-                    acc.is_finite() && ari.is_finite(),
-                    "non-finite metric on {suite} under {}",
-                    config.policy_label()
-                );
-                if config.rotation > 0 {
-                    assert!(
-                        rotations > 0,
-                        "rotating configuration never rotated on {suite} (seed {seed})"
-                    );
-                } else {
-                    assert_eq!(rotations, 0, "non-rotating configuration rotated on {suite}");
-                }
-                println!(
-                    "quick {suite:<16} {:<34} warm={:<5} cadence={:<3} seed={seed} \
-                     acc={acc:.3} ari={ari:.3} rotations={rotations}",
-                    config.policy_label(),
-                    config.warm_label(),
-                    config.cadence,
-                );
-            }
-        }
-    }
-    println!("reconcile_ablation --quick: OK");
+fn render_list(values: &[f64]) -> String {
+    values.iter().map(|v| format!("{v:.4}")).collect::<Vec<_>>().join(", ")
 }
 
 /// Hand-rolled JSON (the workspace has no serde_json; labels are plain
 /// ASCII, numbers are finite).
-fn render_json(entries: &[Entry], seeds: u64, n: usize) -> String {
+fn render_json(arms: &[Arm], comparisons: &[Comparison], seeds: u64, n: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"reconcile_ablation\",\n");
     out.push_str(&format!("  \"fit_seeds\": {seeds},\n"));
     out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
+    out.push_str("  \"arms\": [\n");
+    for (i, a) in arms.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"suite\": \"{}\", \"plan\": \"{}\", \"policy\": \"{}\", \
-             \"rotation\": {}, \"warm_start\": \"{}\", \"cadence\": {}, \
-             \"acc_mean\": {:.4}, \"acc_min\": {:.4}, \"acc_max\": {:.4}, \
-             \"acc_band\": {:.4}, \"ari_mean\": {:.4}, \"ari_min\": {:.4}}}{}\n",
-            e.suite,
-            e.plan,
-            e.policy,
-            e.rotation,
-            e.warm,
-            e.cadence,
-            e.acc_mean,
-            e.acc_min,
-            e.acc_max,
-            e.acc_max - e.acc_min,
-            e.ari_mean,
-            e.ari_min,
-            if i + 1 < entries.len() { "," } else { "" }
+            "    {{\"suite\": \"{}\", \"plan\": \"{}\", \"halo\": {}, \"acc_mean\": {:.4}, \
+             \"acc_min\": {:.4}, \"acc_max\": {:.4}, \"acc_band\": {:.4}, \"ari_mean\": {:.4}, \
+             \"score_evals\": {}, \"rows_per_pass\": {:.1}, \"acc\": [{}]}}{}\n",
+            a.suite,
+            a.plan,
+            a.halo,
+            mean(&a.acc),
+            min(&a.acc),
+            max(&a.acc),
+            max(&a.acc) - min(&a.acc),
+            mean(&a.ari),
+            a.score_evals,
+            a.rows_per_pass(),
+            render_list(&a.acc),
+            if i + 1 < arms.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n  \"halo_vs_disjoint\": [\n");
+    for (i, c) in comparisons.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"suite\": \"{}\", \"plan\": \"{}\", \"halo\": {}, \"acc_mean_diff\": {:.4}, \
+             \"wilcoxon_p\": {:.3e}}}{}\n",
+            c.suite,
+            c.plan,
+            c.halo,
+            c.mean_diff,
+            c.p_value,
+            if i + 1 < comparisons.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -403,7 +299,7 @@ struct Args {
 impl Args {
     fn parse() -> Args {
         let mut args =
-            Args { out: "BENCH_reconcile.json".to_owned(), seeds: 10, n: 600, quick: false };
+            Args { out: "BENCH_reconcile.json".to_owned(), seeds: 30, n: 600, quick: false };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
             match flag.as_str() {

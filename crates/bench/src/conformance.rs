@@ -27,10 +27,7 @@ use categorical_data::stats::entropy_from_counts;
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, MISSING};
 use cluster_eval::accuracy;
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcResult, MergeCadence, Mgcpl,
-    OverlapShards, Rotate, StreamingMcdc, UnseenPolicy, WarmStart,
-};
+use mcdc_core::{ExecutionPlan, FaultPlan, Mcdc, McdcResult, Mgcpl, StreamingMcdc, UnseenPolicy};
 use mcdc_reference::{
     distinct_labels, partition_entropy, reference_mcdc, ReferenceConfig, ReferenceMcdc,
 };
@@ -90,16 +87,10 @@ pub enum PlanArm {
 /// Reconciliation arm of a grid cell (ignored by serial plans).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyArm {
-    /// Span-size-weighted δ averaging.
+    /// Disjoint shards, span-size-weighted δ averaging.
     Average,
-    /// δ momentum with β = 0.5.
-    Momentum,
-    /// Overlapping shards with a 2-row halo.
+    /// The same merge over shards overlapping by a 2-row halo.
     Overlap,
-    /// Rotation every 2 merge steps over δ averaging.
-    RotateAverage,
-    /// Rotation every 2 merge steps over δ momentum — the composed policy.
-    RotateMomentum,
 }
 
 /// One cell of the conformance grid: a full pipeline configuration and the
@@ -114,74 +105,22 @@ pub struct GridCell {
     pub plan: PlanArm,
     /// Reconciliation arm.
     pub policy: PolicyArm,
-    /// Warm-start mode across MGCPL stages.
-    pub warm: WarmStart,
-    /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
-    /// per-pass barrier. Ignored by serial plans.
-    pub cadence: usize,
 }
 
-/// The full `ExecutionPlan × Reconcile × Rotate × WarmStart × cadence`
-/// grid — every combination with distinct semantics, 15 cells.
-///
-/// The four cadence cells (DESIGN.md §12) probe the bounded-staleness
-/// slide: `m = 1` over a single full-batch shard is the staleness-free
-/// endpoint and therefore joins the **exact** tier — it must reproduce the
-/// serial oracle bit for bit — while intermediate m over real multi-shard
-/// plans genuinely reorders the cascade and is held to the bounded floor
-/// like every other replicated cell.
+/// The `ExecutionPlan × halo` grid — every combination with distinct
+/// semantics, 5 cells. The serial engine and a single full-batch shard
+/// reproduce the oracle bit for bit (exact tier); real multi-shard plans
+/// genuinely reorder the cascade and are held to the bounded floor.
 pub fn grid() -> Vec<GridCell> {
     use PlanArm::*;
     use PolicyArm::*;
-    let paced = |name, tier, plan, policy, warm, cadence| GridCell {
-        name,
-        tier,
-        plan,
-        policy,
-        warm,
-        cadence,
-    };
-    let cell = |name, tier, plan, policy, warm| paced(name, tier, plan, policy, warm, 0);
+    let cell = |name, tier, plan, policy| GridCell { name, tier, plan, policy };
     vec![
-        cell("serial/cold", Tier::Exact, Serial, Average, WarmStart::Cold),
-        cell("serial/carry", Tier::Exact, Serial, Average, WarmStart::Carry),
-        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold),
-        cell("batch/average/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold),
-        cell("batch/average/carry", Tier::Bounded, QuarterBatch, Average, WarmStart::Carry),
-        cell("batch/momentum/cold", Tier::Bounded, QuarterBatch, Momentum, WarmStart::Cold),
-        cell("batch/rotate/cold", Tier::Bounded, QuarterBatch, RotateAverage, WarmStart::Cold),
-        cell(
-            "batch/rotate-momentum/carry",
-            Tier::Bounded,
-            QuarterBatch,
-            RotateMomentum,
-            WarmStart::Carry,
-        ),
-        cell("sharded/average/cold", Tier::Bounded, Sharded3, Average, WarmStart::Cold),
-        cell("sharded/overlap/cold", Tier::Bounded, Sharded3, Overlap, WarmStart::Cold),
-        cell("sharded/rotate/carry", Tier::Bounded, Sharded3, RotateAverage, WarmStart::Carry),
-        // m = 1 over one full-batch shard: the serial cascade rebuilt
-        // through the replicated machinery, one merge per presentation.
-        paced("batch-full/cadence-1/cold", Tier::Exact, FullBatch, Average, WarmStart::Cold, 1),
-        // Intermediate staleness over real shards.
-        paced("batch/cadence-8/cold", Tier::Bounded, QuarterBatch, Average, WarmStart::Cold, 8),
-        paced(
-            "batch/cadence-1/momentum/carry",
-            Tier::Bounded,
-            QuarterBatch,
-            Momentum,
-            WarmStart::Carry,
-            1,
-        ),
-        // Cadence × rotation: the period ticks per mini-merge.
-        paced(
-            "sharded/cadence-8/rotate/cold",
-            Tier::Bounded,
-            Sharded3,
-            RotateAverage,
-            WarmStart::Cold,
-            8,
-        ),
+        cell("serial/cold", Tier::Exact, Serial, Average),
+        cell("batch-full/average/cold", Tier::Exact, FullBatch, Average),
+        cell("batch/average", Tier::Bounded, QuarterBatch, Average),
+        cell("sharded/average", Tier::Bounded, Sharded3, Average),
+        cell("sharded/overlap", Tier::Bounded, Sharded3, Overlap),
     ]
 }
 
@@ -267,7 +206,7 @@ pub fn run_cell(
     cell: &GridCell,
 ) -> McdcResult {
     let n = table.n_rows();
-    let mut builder = Mcdc::builder().seed(seed).warm_start(cell.warm);
+    let mut builder = Mcdc::builder().seed(seed);
     if let Some(k0) = initial_k {
         builder = builder.initial_k(k0);
     }
@@ -279,30 +218,20 @@ pub fn run_cell(
         }
         PlanArm::Sharded3 => builder.execution(ExecutionPlan::sharded(contiguous_shards(n, 3))),
     };
-    builder = match cell.policy {
-        PolicyArm::Average => builder.reconcile(DeltaAverage),
-        PolicyArm::Momentum => builder.reconcile(DeltaMomentum { beta: 0.5 }),
-        PolicyArm::Overlap => builder.reconcile(OverlapShards { halo: 2 }),
-        PolicyArm::RotateAverage => builder.reconcile(Rotate::every(2)),
-        PolicyArm::RotateMomentum => {
-            builder.reconcile(Rotate { period: 2, inner: DeltaMomentum { beta: 0.5 } })
-        }
-    };
-    if cell.cadence > 0 {
-        builder = builder.merge_cadence(MergeCadence::every(cell.cadence));
+    if cell.policy == PolicyArm::Overlap {
+        builder = builder.halo(2);
     }
     builder.build().fit(table, k).expect("conformance tables are non-degenerate")
 }
 
-/// Runs the oracle configuration a cell's exact tier compares against.
+/// Runs the oracle configuration every cell is compared against.
 pub fn run_reference(
     table: &CategoricalTable,
     k: usize,
     initial_k: Option<usize>,
     seed: u64,
-    carry: bool,
 ) -> ReferenceMcdc {
-    let config = ReferenceConfig { seed, initial_k, carry_warm_start: carry, ..Default::default() };
+    let config = ReferenceConfig { seed, initial_k, ..Default::default() };
     reference_mcdc(table, k, &config).expect("oracle accepts every generated table")
 }
 
@@ -355,14 +284,12 @@ pub fn cell_divergence(
     initial_k: Option<usize>,
     seed: u64,
     cell: &GridCell,
-    oracle_cold: &ReferenceMcdc,
-    oracle_carry: &ReferenceMcdc,
+    oracle: &ReferenceMcdc,
 ) -> Option<String> {
     let opt = run_cell(table, k, initial_k, seed, cell);
     if let Some(detail) = internal_divergence(&opt.mgcpl().partitions, &opt.mgcpl().kappa) {
         return Some(detail);
     }
-    let oracle = if cell.warm == WarmStart::Carry { oracle_carry } else { oracle_cold };
     match cell.tier {
         Tier::Exact => {
             if opt.mgcpl().kappa != oracle.mgcpl.kappa {
@@ -388,7 +315,7 @@ pub fn cell_divergence(
             None
         }
         Tier::Bounded => {
-            let acc = accuracy(&oracle_cold.labels, opt.labels());
+            let acc = accuracy(&oracle.labels, opt.labels());
             let floor = bounded_floor(k);
             if acc < floor {
                 Some(format!("ACC vs oracle {acc:.3} below floor {floor:.3} (k = {k})"))
@@ -415,24 +342,14 @@ pub struct Divergence {
 /// internal-consistency checks, reported under the pseudo-cell `oracle`.
 pub fn replay_table(seed: u64) -> Vec<Divergence> {
     let (spec, table) = random_table(seed);
-    let oracle_cold = run_reference(&table, spec.k, spec.initial_k, seed, false);
-    let oracle_carry = run_reference(&table, spec.k, spec.initial_k, seed, true);
+    let oracle = run_reference(&table, spec.k, spec.initial_k, seed);
     let mut divergences = Vec::new();
-    for (oracle, name) in [(&oracle_cold, "oracle/cold"), (&oracle_carry, "oracle/carry")] {
-        if let Some(detail) = internal_divergence(&oracle.mgcpl.partitions, &oracle.mgcpl.kappa) {
-            divergences.push(Divergence { seed, cell: name, detail });
-        }
+    if let Some(detail) = internal_divergence(&oracle.mgcpl.partitions, &oracle.mgcpl.kappa) {
+        divergences.push(Divergence { seed, cell: "oracle", detail });
     }
     for cell in grid() {
-        if let Some(detail) = cell_divergence(
-            &table,
-            spec.k,
-            spec.initial_k,
-            seed,
-            &cell,
-            &oracle_cold,
-            &oracle_carry,
-        ) {
+        if let Some(detail) = cell_divergence(&table, spec.k, spec.initial_k, seed, &cell, &oracle)
+        {
             divergences.push(Divergence { seed, cell: cell.name, detail });
         }
     }
@@ -455,10 +372,8 @@ pub fn minimize_table(spec: &TableSpec, seed: u64, cell: &GridCell) -> Vec<Vec<u
         for row in rows {
             sub.push_row(row).expect("minimized rows share the schema");
         }
-        let oracle_cold = run_reference(&sub, spec.k, spec.initial_k, seed, false);
-        let oracle_carry = run_reference(&sub, spec.k, spec.initial_k, seed, true);
-        cell_divergence(&sub, spec.k, spec.initial_k, seed, cell, &oracle_cold, &oracle_carry)
-            .is_some()
+        let oracle = run_reference(&sub, spec.k, spec.initial_k, seed);
+        cell_divergence(&sub, spec.k, spec.initial_k, seed, cell, &oracle).is_some()
     };
 
     let rows: Vec<Vec<u32>> = (0..table.n_rows()).map(|i| table.row(i).to_vec()).collect();
@@ -580,9 +495,6 @@ pub struct GateSuite {
     pub initial_k: usize,
     /// Mini-batch size; 0 = serial.
     pub batch: usize,
-    /// Sub-pass merge cadence (`MergeCadence::every`); 0 keeps the
-    /// per-pass barrier.
-    pub cadence: usize,
     /// Streaming-ingest suite: drives corrupted traffic through the
     /// `try_absorb` boundary instead of batch fits (DESIGN.md §11).
     pub ingest: bool,
@@ -596,35 +508,13 @@ pub const GATE_K0: usize = 24;
 const GATE_SEEDS: [u64; 3] = [11, 12, 13];
 
 /// The checked-in gate suites: the serial hot path (dense MGCPL plus
-/// dirty-tracked CAME), the replicated merge path at the per-pass barrier and
-/// at a fixed sub-pass cadence (`m = batch/4`, so `merges` must run at
-/// ≈ 4× the barrier suite per pass — the cadence growth law made a
-/// deterministic gate), and the streaming-ingest boundary under seeded
-/// row corruption.
+/// dirty-tracked CAME), the replicated merge path (δ average, one merge per
+/// pass), and the streaming-ingest boundary under seeded row corruption.
 pub fn gate_suites() -> Vec<GateSuite> {
     vec![
-        GateSuite { name: "serial", initial_k: GATE_K0, batch: 0, cadence: 0, ingest: false },
-        GateSuite {
-            name: "replicated",
-            initial_k: GATE_K0,
-            batch: GATE_N / 4,
-            cadence: 0,
-            ingest: false,
-        },
-        GateSuite {
-            name: "replicated-cadence",
-            initial_k: GATE_K0,
-            batch: GATE_N / 4,
-            cadence: GATE_N / 16,
-            ingest: false,
-        },
-        GateSuite {
-            name: "streaming-ingest",
-            initial_k: GATE_K0,
-            batch: 0,
-            cadence: 0,
-            ingest: true,
-        },
+        GateSuite { name: "serial", initial_k: GATE_K0, batch: 0, ingest: false },
+        GateSuite { name: "replicated", initial_k: GATE_K0, batch: GATE_N / 4, ingest: false },
+        GateSuite { name: "streaming-ingest", initial_k: GATE_K0, batch: 0, ingest: true },
     ]
 }
 
@@ -642,11 +532,7 @@ pub fn measure_suite(suite: &GateSuite) -> GateCounters {
             GeneratorConfig::new("gate", GATE_N, vec![6; 8], 3).noise(0.12).generate(seed).dataset;
         let mut builder = Mcdc::builder().seed(seed).initial_k(suite.initial_k);
         if suite.batch > 0 {
-            builder =
-                builder.execution(ExecutionPlan::mini_batch(suite.batch)).reconcile(DeltaAverage);
-        }
-        if suite.cadence > 0 {
-            builder = builder.merge_cadence(MergeCadence::every(suite.cadence));
+            builder = builder.execution(ExecutionPlan::mini_batch(suite.batch));
         }
         let result = builder.build().fit(data.table(), 3).expect("gate tables are well-formed");
         for stats in [&result.mgcpl().stats, result.came().stats()] {
@@ -839,23 +725,19 @@ mod tests {
     #[test]
     fn grid_covers_every_arm() {
         let cells = grid();
-        assert_eq!(cells.len(), 15);
+        assert_eq!(cells.len(), 5);
         assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::Serial));
-        assert!(cells.iter().any(|c| c.plan == PlanArm::Sharded3));
-        assert!(cells.iter().any(|c| c.policy == PolicyArm::RotateMomentum));
-        assert!(cells.iter().any(|c| c.warm == WarmStart::Carry && c.tier == Tier::Bounded));
-        // The cadence arm: the staleness-free m = 1 endpoint is held to the
-        // exact tier, intermediate m to the bounded tier, and at least one
-        // cadence cell composes with rotation.
+        assert!(cells.iter().any(|c| c.tier == Tier::Exact && c.plan == PlanArm::FullBatch));
+        for plan in [PlanArm::QuarterBatch, PlanArm::Sharded3] {
+            assert!(cells.iter().any(|c| c.tier == Tier::Bounded && c.plan == plan));
+        }
         assert!(cells
             .iter()
-            .any(|c| c.cadence == 1 && c.plan == PlanArm::FullBatch && c.tier == Tier::Exact));
-        assert!(cells.iter().any(|c| c.cadence > 1 && c.tier == Tier::Bounded));
-        assert!(cells.iter().any(|c| c.cadence > 0 && c.policy == PolicyArm::RotateAverage));
+            .any(|c| c.policy == PolicyArm::Overlap && c.plan == PlanArm::Sharded3));
         let mut names: Vec<&str> = cells.iter().map(|c| c.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 15, "cell names must be unique");
+        assert_eq!(names.len(), 5, "cell names must be unique");
     }
 
     #[test]

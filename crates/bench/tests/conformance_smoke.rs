@@ -10,7 +10,7 @@ use categorical_data::MISSING;
 use mcdc_bench::conformance::{
     compare_counters, gate_suites, measure_suite, random_table, replay_table, run_reference,
 };
-use mcdc_core::{DeltaAverage, ExecutionPlan, Mcdc, WarmStart};
+use mcdc_core::{ExecutionPlan, Mcdc};
 use mcdc_reference::{reference_mcdc, ReferenceConfig};
 use rand::Rng;
 use rand::SeedableRng;
@@ -24,8 +24,8 @@ fn fuzz_seeds_conform_across_the_grid() {
     }
 }
 
-/// The exact tier, probed directly: serial, carry warm-start, and the one-batch replicated plan must reproduce the
-/// oracle's partitions, κ, Θ, and labels bit-for-bit — including on a
+/// The exact tier, probed directly: serial and the one-batch replicated
+/// plan must reproduce the oracle's partitions, κ, Θ, and labels bit-for-bit — including on a
 /// table with injected MISSING values.
 #[test]
 fn exact_tier_matches_the_oracle_bit_for_bit() {
@@ -62,13 +62,8 @@ fn exact_tier_matches_the_oracle_bit_for_bit() {
     };
     check("serial", Mcdc::builder().seed(seed), ReferenceConfig { seed, ..Default::default() });
     check(
-        "serial-carry",
-        Mcdc::builder().seed(seed).warm_start(WarmStart::Carry),
-        ReferenceConfig { seed, carry_warm_start: true, ..Default::default() },
-    );
-    check(
         "batch-n",
-        Mcdc::builder().seed(seed).execution(ExecutionPlan::mini_batch(n)).reconcile(DeltaAverage),
+        Mcdc::builder().seed(seed).execution(ExecutionPlan::mini_batch(n)),
         ReferenceConfig { seed, ..Default::default() },
     );
     check(
@@ -85,8 +80,8 @@ fn fuzz_tables_are_reproducible_from_the_seed() {
     assert_eq!(spec_a, spec_b);
     assert_eq!(table_a, table_b);
     // And the oracle over them is deterministic too.
-    let left = run_reference(&table_a, spec_a.k, spec_a.initial_k, 42, false);
-    let right = run_reference(&table_b, spec_b.k, spec_b.initial_k, 42, false);
+    let left = run_reference(&table_a, spec_a.k, spec_a.initial_k, 42);
+    let right = run_reference(&table_b, spec_b.k, spec_b.initial_k, 42);
     assert_eq!(left.labels, right.labels);
 }
 

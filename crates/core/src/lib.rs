@@ -17,10 +17,9 @@
 //! * [`ExecutionPlan`] — the pluggable execution engine (serial /
 //!   mini-batch / sharded replica-merge parallelism) driving MGCPL, CAME,
 //!   and the streaming re-fit through one builder knob (DESIGN.md §4);
-//! * [`Reconcile`] — the reconciliation policies replicated plans merge
-//!   under: [`DeltaAverage`], [`DeltaMomentum`], [`OverlapShards`], and the
-//!   composable [`Rotate`] cross-pass replica rotation (DESIGN.md §5–6),
-//!   plus the [`WarmStart`] stage-boundary carry (DESIGN.md §6);
+//!   Replicated passes reconcile under one rule — exact profile merge,
+//!   span-size-weighted δ average, cold re-launch per stage — with one
+//!   knob, the shard-overlap [`halo`](MgcplBuilder::halo) (DESIGN.md §5);
 //! * [`FaultPlan`] — deterministic, seeded fault injection with graceful
 //!   degradation: quarantined replicas, bounded retries, survivor
 //!   re-weighting, and poisoned-δ rejection (DESIGN.md §8);
@@ -73,7 +72,6 @@ mod frozen;
 mod mgcpl;
 mod pipeline;
 mod profile;
-mod reconcile;
 mod streaming;
 mod trace;
 pub mod weights;
@@ -85,15 +83,12 @@ pub use came::{Came, CameBuilder, CameInit, CameResult};
 pub use competitive::{CompetitiveLearning, CompetitiveResult};
 pub use encoding::{encode_mgcpl, encode_partitions};
 pub use error::McdcError;
-pub use execution::{ExecutionPlan, MergeCadence, WarmStart};
+pub use execution::ExecutionPlan;
 pub use fault::{DeltaFault, FaultPlan, IngestFault, ReplicaFault};
 pub use frozen::FrozenModel;
 pub use mgcpl::{Mgcpl, MgcplBuilder, MgcplResult};
 pub use pipeline::{Mcdc, McdcBuilder, McdcResult};
 pub use profile::{score_all, score_all_transposed, ClusterProfile};
-pub use reconcile::{
-    DeltaAverage, DeltaMomentum, OverlapShards, Reconcile, ReconcileDescriptor, Rotate,
-};
 pub use streaming::{
     Admission, HealthState, IngestStats, MgcplResultSummary, ServingHealth, StreamingMcdc,
     UnseenPolicy,

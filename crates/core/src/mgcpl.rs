@@ -9,8 +9,6 @@
 //! clusters — producing one partition per *granularity* until two
 //! consecutive stages agree (`k_new == k_old`).
 
-use std::sync::Arc;
-
 use categorical_data::stats::FrequencyTable;
 use categorical_data::CategoricalTable;
 use rand::seq::SliceRandom;
@@ -27,8 +25,8 @@ use crate::workspace::{
     copy_into, note_growth, resize_tracked, MgcplScratch, ReplicaSlot, ReplicatedScratch, Workspace,
 };
 use crate::{
-    score_all_transposed, ClusterProfile, DeltaAverage, ExecutionPlan, HotPathStats, LearningTrace,
-    McdcError, MergeCadence, Reconcile, StageRecord, WarmStart,
+    score_all_transposed, ClusterProfile, ExecutionPlan, HotPathStats, LearningTrace, McdcError,
+    StageRecord,
 };
 
 /// Configurable MGCPL learner. Construct via [`Mgcpl::builder`].
@@ -49,7 +47,7 @@ use crate::{
 /// assert!(result.kappa.windows(2).all(|w| w[0] > w[1]) || result.kappa.len() == 1);
 /// # Ok::<(), mcdc_core::McdcError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mgcpl {
     learning_rate: f64,
     initial_k: Option<usize>,
@@ -59,35 +57,13 @@ pub struct Mgcpl {
     random_init: bool,
     seed: u64,
     execution: ExecutionPlan,
-    reconcile: Arc<dyn Reconcile>,
-    warm_start: WarmStart,
+    halo: usize,
     fault: FaultPlan,
-    merge_cadence: MergeCadence,
-}
-
-// Policies compare by descriptor (name + parameters): two learners with the
-// same configuration and equally-described policies behave identically, and
-// `Arc<dyn Reconcile>` has no derivable equality of its own.
-impl PartialEq for Mgcpl {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.max_inner_iterations == other.max_inner_iterations
-            && self.max_stages == other.max_stages
-            && self.weighted_similarity == other.weighted_similarity
-            && self.random_init == other.random_init
-            && self.seed == other.seed
-            && self.execution == other.execution
-            && self.reconcile.describe() == other.reconcile.describe()
-            && self.warm_start == other.warm_start
-            && self.fault == other.fault
-            && self.merge_cadence == other.merge_cadence
-    }
 }
 
 /// Builder for [`Mgcpl`]; defaults follow the paper (`η = 0.03`,
 /// `k₀ = √n`, feature weighting on).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MgcplBuilder {
     learning_rate: f64,
     initial_k: Option<usize>,
@@ -97,27 +73,8 @@ pub struct MgcplBuilder {
     random_init: bool,
     seed: u64,
     execution: ExecutionPlan,
-    reconcile: Arc<dyn Reconcile>,
-    warm_start: WarmStart,
+    halo: usize,
     fault: FaultPlan,
-    merge_cadence: MergeCadence,
-}
-
-impl PartialEq for MgcplBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.max_inner_iterations == other.max_inner_iterations
-            && self.max_stages == other.max_stages
-            && self.weighted_similarity == other.weighted_similarity
-            && self.random_init == other.random_init
-            && self.seed == other.seed
-            && self.execution == other.execution
-            && self.reconcile.describe() == other.reconcile.describe()
-            && self.warm_start == other.warm_start
-            && self.fault == other.fault
-            && self.merge_cadence == other.merge_cadence
-    }
 }
 
 impl Default for MgcplBuilder {
@@ -131,10 +88,8 @@ impl Default for MgcplBuilder {
             random_init: true,
             seed: 0,
             execution: ExecutionPlan::Serial,
-            reconcile: Arc::new(DeltaAverage),
-            warm_start: WarmStart::Cold,
+            halo: 0,
             fault: FaultPlan::none(),
-            merge_cadence: MergeCadence::per_pass(),
         }
     }
 }
@@ -207,31 +162,30 @@ impl MgcplBuilder {
         self
     }
 
-    /// Selects the reconciliation policy replicated plans use when their
-    /// shard replicas merge (default [`DeltaAverage`], the PR-2 rule). Has
-    /// no effect under [`ExecutionPlan::Serial`], which never reconciles.
-    /// See [`Reconcile`] for the shipped policies and the hook contract.
-    pub fn reconcile(self, policy: impl Reconcile + 'static) -> Self {
-        self.reconcile_arc(Arc::new(policy))
-    }
-
-    /// [`reconcile`](Self::reconcile) for an already-shared policy (what
-    /// [`McdcBuilder`](crate::McdcBuilder) forwards).
-    pub(crate) fn reconcile_arc(mut self, policy: Arc<dyn Reconcile>) -> Self {
-        self.reconcile = policy;
-        self
-    }
-
-    /// Selects how each granularity stage re-launches (default
-    /// [`WarmStart::Cold`], the paper's Alg. 1 step 13 reset, pinned
-    /// bit-exact against the historical behavior).
-    /// [`WarmStart::Carry`] seeds each coarser cascade level from the
-    /// reconciled δ and ω of the level that just converged — under a
-    /// replicated plan that is the cross-shard consensus state, so finer
-    /// levels stop re-deriving it cold per shard. See [`WarmStart`] for
-    /// the exact semantics and a worked example.
-    pub fn warm_start(mut self, warm: WarmStart) -> Self {
-        self.warm_start = warm;
+    /// Sets the reconciliation halo of replicated plans (default 0): each
+    /// replica additionally presents the last `rows` rows of the previous
+    /// shard and the first `rows` rows of the next, in shard-index order
+    /// (for a mini-batch plan's contiguous shards, the geometric boundary).
+    /// Borrowed rows stay owned by their home shard for the exact profile
+    /// merge and settle by a similarity-weighted vote of the replicas that
+    /// presented them. The halo pays when shard boundaries cut through
+    /// natural clusters — placement-derived
+    /// [`Sharded`](ExecutionPlan::Sharded) plans, where
+    /// `mcdc_dist_sim::suggested_halo` picks a width (DESIGN.md §5). Each
+    /// borrowed row costs one extra presentation per pass; an oversized
+    /// halo clamps to whole neighbors. No effect under
+    /// [`ExecutionPlan::Serial`] or a single-shard plan.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcdc_core::{ExecutionPlan, Mgcpl};
+    ///
+    /// let learner = Mgcpl::builder().execution(ExecutionPlan::mini_batch(128)).halo(8).build();
+    /// assert_eq!(learner.halo(), 8);
+    /// ```
+    pub fn halo(mut self, rows: usize) -> Self {
+        self.halo = rows;
         self
     }
 
@@ -247,39 +201,13 @@ impl MgcplBuilder {
         self
     }
 
-    /// Sets how often a replicated plan's shards synchronize within a pass
-    /// (default [`MergeCadence::per_pass`], the historical once-per-pass
-    /// barrier, bit-exact with the pre-cadence engine). Sub-pass cadences
-    /// re-run the exact merge step every `m` presentations per replica so
-    /// later segments score against the blended consensus instead of the
-    /// stale pass-start snapshot; `m = 1` with a single shard reproduces
-    /// [`ExecutionPlan::Serial`] bit for bit. See [`MergeCadence`] and
-    /// DESIGN.md §12. No effect under serial plans.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{ExecutionPlan, MergeCadence, Mgcpl};
-    ///
-    /// let learner = Mgcpl::builder()
-    ///     .execution(ExecutionPlan::mini_batch(128))
-    ///     .merge_cadence(MergeCadence::every(16))
-    ///     .build();
-    /// # let _ = learner;
-    /// ```
-    pub fn merge_cadence(mut self, cadence: MergeCadence) -> Self {
-        self.merge_cadence = cadence;
-        self
-    }
-
     /// Validates and builds the learner.
     ///
     /// # Panics
     ///
     /// Panics on any configuration [`try_build`](Self::try_build) rejects:
-    /// a non-finite or out-of-range `learning_rate`, a zero cap, a
-    /// reconciliation policy describing a momentum coefficient outside
-    /// `[0, 1)`, or an invalid [`FaultPlan`].
+    /// a non-finite or out-of-range `learning_rate`, a zero cap, or an
+    /// invalid [`FaultPlan`].
     pub fn build(self) -> Mgcpl {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
@@ -293,9 +221,8 @@ impl MgcplBuilder {
     ///
     /// Returns [`McdcError::InvalidConfig`] naming the offending parameter
     /// if `learning_rate` is not finite or outside `(0, 1)`, a cap is
-    /// zero, the reconciliation policy describes a momentum coefficient
-    /// that is not finite or outside `[0, 1)`, or the [`FaultPlan`] fails
-    /// its own validation (a rate outside `[0, 1]`, a zero retry budget).
+    /// zero, or the [`FaultPlan`] fails its own validation (a rate outside
+    /// `[0, 1]`).
     pub fn try_build(self) -> Result<Mgcpl, McdcError> {
         if !self.learning_rate.is_finite() || self.learning_rate <= 0.0 || self.learning_rate >= 1.0
         {
@@ -316,13 +243,6 @@ impl MgcplBuilder {
                 message: "must be positive".to_string(),
             });
         }
-        let beta = self.reconcile.describe().beta;
-        if !beta.is_finite() || !(0.0..1.0).contains(&beta) {
-            return Err(McdcError::InvalidConfig {
-                parameter: "reconcile.beta",
-                message: format!("momentum coefficient must be finite and in [0, 1), got {beta}"),
-            });
-        }
         self.fault.validate()?;
         Ok(Mgcpl {
             learning_rate: self.learning_rate,
@@ -333,10 +253,8 @@ impl MgcplBuilder {
             random_init: self.random_init,
             seed: self.seed,
             execution: self.execution,
-            reconcile: self.reconcile,
-            warm_start: self.warm_start,
+            halo: self.halo,
             fault: self.fault,
-            merge_cadence: self.merge_cadence,
         })
     }
 }
@@ -556,25 +474,6 @@ impl Cohort {
         self.omega.resize(self.len() * d, 1.0 / d as f64);
     }
 
-    /// Stage-boundary re-launch under the learner's [`WarmStart`] mode:
-    /// [`WarmStart::Cold`] is exactly [`reset_statistics`]
-    /// (Self::reset_statistics); [`WarmStart::Carry`] keeps the reconciled
-    /// δ and ω of the stage that just converged — the state every replica's
-    /// first pass of the next stage then snapshots — and resets only the
-    /// win counts (the ρ conscience stays stage-scoped; pruning keeps both
-    /// vectors compacted in lockstep, so no re-sizing is needed and the
-    /// carry allocates nothing).
-    fn relaunch(&mut self, d: usize, warm: WarmStart) {
-        match warm {
-            WarmStart::Cold => self.reset_statistics(d),
-            WarmStart::Carry => {
-                debug_assert_eq!(self.omega.len(), self.len() * d);
-                self.wins_prev.fill(0);
-                self.wins_now.fill(0);
-            }
-        }
-    }
-
     /// Removes empty clusters, compacting every parallel array and the
     /// `assignment` indices.
     fn prune_empty(&mut self, assignment: &mut [Option<usize>]) {
@@ -621,9 +520,9 @@ impl Mgcpl {
         &self.execution
     }
 
-    /// The configured reconciliation policy.
-    pub fn reconcile_policy(&self) -> &dyn Reconcile {
-        self.reconcile.as_ref()
+    /// The configured reconciliation halo, in rows (0 = disjoint shards).
+    pub fn halo(&self) -> usize {
+        self.halo
     }
 
     /// A copy of this learner with its execution plan adapted to an input
@@ -688,11 +587,9 @@ impl Mgcpl {
             return Err(McdcError::EmptyInput);
         }
         plan.validate(n)?;
-        let mut shard_map = plan.shard_map(table, self.reconcile.halo())?;
-        // Merge steps completed so far, across stages: a rotating policy
-        // permutes the row -> replica map every `rotation_period()` of
-        // these, and the counter deliberately spans stage boundaries so
-        // short stages cannot pin the rotation at one offset forever.
+        let shard_map = plan.shard_map(table, self.halo)?;
+        // Replicated passes completed so far, across stages: the step
+        // coordinate of the fault plan's per-merge probes.
         let mut merge_steps: u64 = 0;
         let d = table.n_features();
         let k0 = match self.initial_k {
@@ -761,7 +658,7 @@ impl Mgcpl {
                 &mut clusters,
                 &mut assignment,
                 &mut rng,
-                shard_map.as_mut(),
+                shard_map.as_ref(),
                 &mut merge_steps,
                 ws,
                 &mut stats,
@@ -781,10 +678,9 @@ impl Mgcpl {
             }
             k_old = k_after;
 
-            // Re-launch for the next (coarser) granularity level: cold per
-            // Alg. 1, or seeded from this level's reconciled delta/omega
-            // under `WarmStart::Carry`.
-            clusters.relaunch(d, self.warm_start);
+            // Cold re-launch for the next (coarser) granularity level
+            // (Alg. 1 step 13).
+            clusters.reset_statistics(d);
         }
 
         stats.allocations = ws.allocs - alloc_start;
@@ -816,7 +712,7 @@ impl Mgcpl {
         clusters: &mut Cohort,
         assignment: &mut [Option<usize>],
         rng: &mut ChaCha8Rng,
-        mut shard_map: Option<&mut ShardMap>,
+        shard_map: Option<&ShardMap>,
         merge_steps: &mut u64,
         ws: &mut Workspace,
         stats: &mut HotPathStats,
@@ -847,7 +743,7 @@ impl Mgcpl {
             let post_scale =
                 self.snapshot_pass(clusters, one_minus_rho, prefactors, accumulators, d, allocs);
 
-            let mut changed = match shard_map.as_deref_mut() {
+            let mut changed = match shard_map {
                 None => {
                     let changed = self.apply_span(
                         table,
@@ -868,63 +764,21 @@ impl Mgcpl {
                     changed
                 }
                 Some(map) => {
-                    // Sub-pass merge cadence (DESIGN.md §12): slice the
-                    // pass's global shuffle into segments of ~`every`
-                    // presentations per replica and run the full merge step
-                    // at each boundary. The default cadence covers the pass
-                    // in one segment -- exactly the historical per-pass
-                    // barrier, same code path, same counters.
-                    let seg = self.merge_cadence.segment_rows(n, map.n_shards);
-                    let mut changed = false;
-                    let mut start = 0usize;
-                    while start < n {
-                        let end = (start + seg).min(n);
-                        changed |= self.apply_replicated(
-                            table,
-                            &order[start..end],
-                            clusters,
-                            assignment,
-                            one_minus_rho,
-                            prefactors,
-                            post_scale,
-                            *merge_steps,
-                            map,
-                            replicated,
-                            allocs,
-                            stats,
-                        );
-                        // Replica rotation (DESIGN.md §6): between merge
-                        // steps -- never within one, so each segment's
-                        // profile merge stays exact -- a rotating policy
-                        // shifts the row -> replica map so no row stays with
-                        // the same cohort for the whole fit. The period
-                        // counts *mini*-merges: under a sub-pass cadence a
-                        // rotating policy therefore rotates batch/m times
-                        // more often per pass, by design (see `Rotate`).
-                        *merge_steps += 1;
-                        let period = self.reconcile.rotation_period() as u64;
-                        if period > 0 && merge_steps.is_multiple_of(period) && map.rotate() {
-                            stats.rotations += 1;
-                        }
-                        start = end;
-                        if start < n {
-                            // Re-snapshot against the blended consensus so
-                            // the next segment competes on fresh state: the
-                            // prefactors re-derive from the merged δ (the
-                            // same pure function the serial cascade applies
-                            // inline) and the value-major matrix rebuilds
-                            // from the merged profiles under the
-                            // pass-frozen ω. Pass-scoped state -- win
-                            // counters, 1−ρ, pruning, ω -- stays untouched,
-                            // exactly as in the serial pass.
-                            for (pf, (&m, &dl)) in
-                                prefactors.iter_mut().zip(one_minus_rho.iter().zip(&clusters.delta))
-                            {
-                                *pf = m * sigmoid_weight(dl);
-                            }
-                            clusters.rebuild_value_major(self.weighted_similarity);
-                        }
-                    }
+                    let changed = self.apply_replicated(
+                        table,
+                        order,
+                        clusters,
+                        assignment,
+                        one_minus_rho,
+                        prefactors,
+                        post_scale,
+                        *merge_steps,
+                        map,
+                        replicated,
+                        allocs,
+                        stats,
+                    );
+                    *merge_steps += 1;
                     changed
                 }
             };
@@ -1011,7 +865,7 @@ impl Mgcpl {
     /// (in presentation order — `decisions[t]` is the verdict for
     /// `order[t]`). When `confidences` is given, the winner's plain Eq. (14)
     /// similarity (no `(1 − ρ)·u` prefactor) is recorded alongside each
-    /// decision — the vote weight overlapping reconciliation policies use.
+    /// decision — the weight of the halo vote.
     /// Returns whether any membership changed.
     ///
     /// Assignments are *read* from the frozen `prior` snapshot rather than
@@ -1108,41 +962,34 @@ impl Mgcpl {
         changed
     }
 
-    /// Replica-merge apply phase — one *merge step*: one
+    /// Replica-merge apply phase — one *merge step* per pass: one
     /// [`apply_span`](Self::apply_span) per shard against a frozen clone of
-    /// the segment-start cohort, rayon-parallel across shards, reconciled
-    /// into `clusters` under the configured [`Reconcile`] policy
-    /// (DESIGN.md §5). `order` is the segment of the pass's global shuffle
-    /// this step presents — the whole pass under the default per-pass
-    /// [`MergeCadence`], a sub-pass slice otherwise (DESIGN.md §12):
+    /// the pass-start cohort, rayon-parallel across shards, reconciled into
+    /// `clusters` by the one merge rule (DESIGN.md §4–5):
     ///
-    /// * **spans** — each replica presents its owned segment rows plus,
-    ///   when the policy declares a halo, the boundary rows borrowed from
-    ///   adjacent shards ([`ExecutionPlan::shard_map`] materializes the
-    ///   geometry);
+    /// * **spans** — each replica presents its owned rows plus, under a
+    ///   non-zero [`halo`](MgcplBuilder::halo), the boundary rows borrowed
+    ///   from adjacent shards ([`ExecutionPlan::shard_map`] materializes
+    ///   the geometry);
     /// * **memberships** — rows presented once take their replica's verdict
-    ///   directly; rows presented on several replicas settle by the
-    ///   policy's [`resolve`](Reconcile::resolve) vote over the replicas'
-    ///   `(winner, similarity)` verdicts;
+    ///   directly; rows presented on several replicas settle by
+    ///   [`resolve_vote`] over the replicas' `(winner, similarity)`
+    ///   verdicts;
     /// * **profiles** — per-cluster profiles are rebuilt over each shard's
-    ///   *owned* rows from the settled memberships (the full assignment,
-    ///   so sub-pass merges keep rows outside the segment), then merged
-    ///   via [`ClusterProfile::merge`]. Every row is owned by exactly one
-    ///   shard whatever the halo, so the merged integer counts stay exact;
-    /// * **δ** — span-size-weighted average of the replica accumulators,
-    ///   handed to the policy's [`blend_delta`](Reconcile::blend_delta)
-    ///   together with the pass-start δ (one replica ⇒ weight `1.0`, and the
-    ///   default blend keeps the average ⇒ bit-exact with serial);
+    ///   *owned* rows from the settled memberships, then merged via
+    ///   [`ClusterProfile::merge`]. Every row is owned by exactly one shard
+    ///   whatever the halo, so the merged integer counts stay exact;
+    /// * **δ** — span-size-weighted average of the replica accumulators
+    ///   (one replica ⇒ weight `1.0` ⇒ bit-exact with serial);
     /// * **wins** — integer counts of the final memberships (halo rows
     ///   count once, not once per presenting replica);
     /// * **ω** — not reconciled here: the epilogue re-derives it from the
-    ///   merged profiles after every blend, which is the deterministic
-    ///   consensus.
+    ///   merged profiles, which is the deterministic consensus.
     ///
     /// The presentation order inside each span is the global per-pass
     /// shuffle filtered to that span, so a one-shard plan degenerates to
     /// the serial order and results are deterministic for a fixed seed,
-    /// shard count, and policy.
+    /// shard count, and halo.
     ///
     /// Under an armed [`FaultPlan`] (DESIGN.md §8) the merge degrades
     /// instead of failing: each replica probes the schedule per execution
@@ -1151,7 +998,7 @@ impl Mgcpl {
     /// attempt budget, then quarantined — its rows fall back to their
     /// prior membership (or a frozen-snapshot rescore on the first pass),
     /// the profile merge stays exact over all rows' final memberships,
-    /// and the δ blend re-weights over the surviving replicas. Poisoned
+    /// and the δ average re-weights over the surviving replicas. Poisoned
     /// or dropped δ vectors are detected by finiteness/ω-bound checks and
     /// excluded the same way. All of this is gated on
     /// [`FaultPlan::is_none`], so the clean path is bit-exact with the
@@ -1173,12 +1020,6 @@ impl Mgcpl {
         stats: &mut HotPathStats,
     ) -> bool {
         let k = clusters.len();
-        // `order` is one segment of the pass's global shuffle — the whole
-        // pass under the default per-pass cadence, a sub-pass slice under
-        // `MergeCadence { every: m }`. Verdicts, the orphan fallback, and
-        // win counts touch only the presented rows; the profile merge
-        // covers every settled membership so the merged cohort is always
-        // the full-table consensus.
         let n_rows = assignment.len();
         let overlap = map.has_overlap();
 
@@ -1312,7 +1153,7 @@ impl Mgcpl {
             .collect();
 
         // Final membership per row: the owning replica's verdict when the
-        // row was presented once, the policy's vote otherwise. Vote buffers
+        // row was presented once, the similarity vote otherwise. Vote buffers
         // are indexed by the shard map's dense halo slots, so their size
         // tracks the overlap (≤ 2·halo·(shards−1) rows), not n.
         resize_tracked(&mut rep.final_of, n_rows, usize::MAX, allocs);
@@ -1339,18 +1180,7 @@ impl Mgcpl {
                 if row_votes.is_empty() {
                     continue;
                 }
-                let c = self.reconcile.resolve(row_votes);
-                // `resolve` is a public extension hook: catch a policy that
-                // invents a cluster here, where the policy can be named,
-                // instead of as an opaque index panic deeper in the engine.
-                assert!(
-                    row_votes.iter().any(|&(voted, _)| voted == c),
-                    "reconcile policy {} resolved row {i} to cluster {c}, \
-                     which none of its replicas voted for ({:?})",
-                    self.reconcile.describe(),
-                    row_votes,
-                );
-                rep.final_of[i] = c;
+                rep.final_of[i] = resolve_vote(row_votes);
             }
         } else {
             for slot in &slots {
@@ -1415,13 +1245,9 @@ impl Mgcpl {
 
         // Exact profile merge from the settled memberships, grouped by
         // owning shard (bulk deferred-rescale builds into the slots'
-        // persistent profile buffers, parallel across shards). Grouping
-        // walks the full assignment — not just this segment's rows — so a
-        // sub-pass merge still rebuilds the complete consensus profiles
-        // (rows outside the segment keep their standing membership), and a
-        // mid-pass rotation regroups by the *current* ownership. Profile
+        // persistent profile buffers, parallel across shards). Profile
         // state is a pure function of the member multiset, so the walk
-        // order is immaterial and the per-pass barrier stays bit-exact.
+        // order is immaterial.
         let layout = &clusters.layout;
         let settled: &[Option<usize>] = assignment;
         let mut slots: Vec<ReplicaSlot> = slots
@@ -1487,13 +1313,12 @@ impl Mgcpl {
         }
 
         // δ consensus: span-size-weighted average over the replicas whose
-        // δ actually arrived intact, then the policy's blend against the
-        // pass-start value. A δ participates only if its replica survived,
-        // the vector wasn't dropped in transit, and every entry is finite
-        // and inside the `[0, 1]` ω-clamp the learning rule guarantees —
-        // the poisoned-δ detector of DESIGN.md §8. With every replica
-        // clean (always the case under `FaultPlan::none()`) the filter
-        // passes everything and the arithmetic is the historical one.
+        // δ actually arrived intact. A δ participates only if its replica
+        // survived, the vector wasn't dropped in transit, and every entry
+        // is finite and inside the `[0, 1]` ω-clamp the learning rule
+        // guarantees — the poisoned-δ detector of DESIGN.md §8. With every
+        // replica clean (always the case under `FaultPlan::none()`) the
+        // filter passes everything.
         let mut rejected = 0u64;
         for slot in &mut slots {
             let intact = slot.delta.len() == k
@@ -1506,23 +1331,17 @@ impl Mgcpl {
         stats.rejected_deltas += rejected;
         let total_presented: f64 =
             slots.iter().filter(|s| s.delta_ok).map(|s| s.rows.len() as f64).sum();
-        copy_into(&mut rep.pass_start_delta, &clusters.delta, allocs);
-        resize_tracked(&mut rep.blended, k, 0.0, allocs);
-        rep.blended.fill(0.0);
+        // When every replica's δ was lost this pass, the pass-start δ
+        // carries forward rather than averaging toward zero.
         if total_presented > 0.0 {
+            clusters.delta.fill(0.0);
             for slot in slots.iter().filter(|s| s.delta_ok) {
                 let weight = slot.rows.len() as f64 / total_presented;
-                for (blended, &delta) in rep.blended.iter_mut().zip(&slot.delta) {
-                    *blended += weight * delta;
+                for (average, &delta) in clusters.delta.iter_mut().zip(&slot.delta) {
+                    *average += weight * delta;
                 }
             }
-            self.reconcile.blend_delta(&rep.pass_start_delta, &mut rep.blended);
-        } else {
-            // Every replica's δ was lost this pass: keep the pass-start δ
-            // rather than blending toward zero.
-            rep.blended.copy_from_slice(&rep.pass_start_delta);
         }
-        clusters.delta.copy_from_slice(&rep.blended);
 
         // Fold the worker-local counters back into the fit's totals.
         for slot in &mut slots {
@@ -1535,6 +1354,32 @@ impl Mgcpl {
         rep.slots = slots;
         changed
     }
+}
+
+/// Settles one row presented to several halo replicas into its final
+/// cluster. `votes` holds `(cluster, similarity)` per presenting replica,
+/// in replica order; the similarity is the row's Eq. (14) similarity to
+/// the winning cluster's profile *as that replica saw it* at decision
+/// time. Per-cluster similarity sums, argmax, smallest cluster index on
+/// ties; a single vote wins unconditionally.
+fn resolve_vote(votes: &[(usize, f64)]) -> usize {
+    debug_assert!(!votes.is_empty(), "every row is presented at least once");
+    if votes.len() == 1 {
+        return votes[0].0;
+    }
+    let mut best_cluster = usize::MAX;
+    let mut best_weight = f64::NEG_INFINITY;
+    for (idx, &(cluster, _)) in votes.iter().enumerate() {
+        if votes[..idx].iter().any(|&(c, _)| c == cluster) {
+            continue; // this cluster's tally was already summed
+        }
+        let weight: f64 = votes.iter().filter(|&&(c, _)| c == cluster).map(|&(_, s)| s).sum();
+        if weight > best_weight || (weight == best_weight && cluster < best_cluster) {
+            best_weight = weight;
+            best_cluster = cluster;
+        }
+    }
+    best_cluster
 }
 
 /// Picks `k0` seed objects deterministically: representatives of the most
@@ -1598,6 +1443,16 @@ mod tests {
         assert!((sigmoid_weight(0.5) - 0.5).abs() < 1e-12);
         assert!(sigmoid_weight(1.0) > 0.99);
         assert!(sigmoid_weight(0.0) < 0.01);
+    }
+
+    #[test]
+    fn default_resolve_is_a_similarity_weighted_vote() {
+        // Cluster 2 wins on summed similarity despite fewer votes.
+        assert_eq!(resolve_vote(&[(1, 0.3), (2, 0.9), (1, 0.2)]), 2);
+        // Equal weights tie-break on the smaller cluster index.
+        assert_eq!(resolve_vote(&[(5, 0.4), (3, 0.4)]), 3);
+        // A single vote always wins.
+        assert_eq!(resolve_vote(&[(7, 0.0)]), 7);
     }
 
     #[test]

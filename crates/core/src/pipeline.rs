@@ -1,13 +1,11 @@
 //! The end-to-end MCDC pipeline: MGCPL multi-granular learning followed by
 //! CAME aggregation on the Γ encoding.
 
-use std::sync::Arc;
-
 use categorical_data::CategoricalTable;
 
 use crate::{
-    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, MergeCadence,
-    Mgcpl, MgcplResult, Reconcile, WarmStart, Workspace,
+    encode_mgcpl, Came, CameInit, CameResult, ExecutionPlan, FaultPlan, McdcError, Mgcpl,
+    MgcplResult, Workspace,
 };
 
 /// The full MCDC clusterer. Construct via [`Mcdc::builder`].
@@ -35,7 +33,7 @@ pub struct Mcdc {
 
 /// Builder for [`Mcdc`] with the paper's defaults (`η = 0.03`, `k₀ = √n`,
 /// weighted MGCPL similarity, weighted CAME, granularity-guided init).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct McdcBuilder {
     learning_rate: Option<f64>,
     initial_k: Option<usize>,
@@ -43,30 +41,9 @@ pub struct McdcBuilder {
     came_weighted: Option<bool>,
     came_init: Option<CameInit>,
     execution: Option<ExecutionPlan>,
-    reconcile: Option<Arc<dyn Reconcile>>,
-    warm_start: Option<WarmStart>,
+    halo: usize,
     fault_plan: Option<FaultPlan>,
-    merge_cadence: Option<MergeCadence>,
     seed: u64,
-}
-
-// Reconciliation policies compare by descriptor (see `Mgcpl`'s PartialEq);
-// everything else is structural.
-impl PartialEq for McdcBuilder {
-    fn eq(&self, other: &Self) -> bool {
-        self.learning_rate == other.learning_rate
-            && self.initial_k == other.initial_k
-            && self.weighted_similarity == other.weighted_similarity
-            && self.came_weighted == other.came_weighted
-            && self.came_init == other.came_init
-            && self.execution == other.execution
-            && self.reconcile.as_ref().map(|p| p.describe())
-                == other.reconcile.as_ref().map(|p| p.describe())
-            && self.warm_start == other.warm_start
-            && self.fault_plan == other.fault_plan
-            && self.merge_cadence == other.merge_cadence
-            && self.seed == other.seed
-    }
 }
 
 impl McdcBuilder {
@@ -111,56 +88,24 @@ impl McdcBuilder {
         self
     }
 
-    /// Selects the reconciliation policy the MGCPL stage uses when a
-    /// replicated [`execution`](Self::execution) plan merges its shard
-    /// replicas (default [`DeltaAverage`](crate::DeltaAverage)). CAME is
-    /// unaffected — its parallel paths are exact, so there is nothing for a
-    /// policy to trade. No effect under [`ExecutionPlan::Serial`].
+    /// Sets the reconciliation halo the MGCPL stage's replicated
+    /// [`execution`](Self::execution) plan overlaps its shards by (default
+    /// 0, disjoint shards). See
+    /// [`MgcplBuilder::halo`](crate::MgcplBuilder::halo) for the semantics.
+    /// CAME is unaffected — its parallel paths are exact, so there is
+    /// nothing for a halo to trade. No effect under
+    /// [`ExecutionPlan::Serial`].
     ///
     /// # Example
     ///
     /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc};
+    /// use mcdc_core::{ExecutionPlan, Mcdc};
     ///
-    /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(DeltaMomentum { beta: 0.9 })
-    ///     .build();
-    /// # let _ = mcdc;
+    /// let mcdc = Mcdc::builder().execution(ExecutionPlan::mini_batch(256)).halo(16).build();
+    /// assert_eq!(mcdc.halo(), 16);
     /// ```
-    pub fn reconcile(mut self, policy: impl Reconcile + 'static) -> Self {
-        self.reconcile = Some(Arc::new(policy));
-        self
-    }
-
-    /// Selects how the MGCPL stage re-launches at granularity boundaries
-    /// (default [`WarmStart::Cold`], the paper's Alg. 1 reset —
-    /// bit-exact with the historical pipeline).
-    /// [`WarmStart::Carry`] seeds each coarser level from the reconciled
-    /// δ/ω consensus of the finer level that just converged, which under a
-    /// replicated [`execution`](Self::execution) plan attacks shard-local
-    /// minima: every replica's first pass of the new level starts from the
-    /// cross-shard agreed state instead of re-deriving it cold from its
-    /// own cohort (DESIGN.md §6–7 have the semantics and the measured
-    /// quality ablation). CAME is unaffected — it has no granularity
-    /// cascade to re-launch.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc, Rotate, WarmStart};
-    ///
-    /// // The full quality-recovery stack for replicated plans: momentum
-    /// // damping, cross-pass rotation, and the cross-stage carry.
-    /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(Rotate { period: 1, inner: DeltaMomentum { beta: 0.5 } })
-    ///     .warm_start(WarmStart::Carry)
-    ///     .build();
-    /// assert_eq!(mcdc.reconcile_policy().rotation_period(), 1);
-    /// ```
-    pub fn warm_start(mut self, warm: WarmStart) -> Self {
-        self.warm_start = Some(warm);
+    pub fn halo(mut self, rows: usize) -> Self {
+        self.halo = rows;
         self
     }
 
@@ -173,35 +118,6 @@ impl McdcBuilder {
     /// to the learning stage only.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets how often the MGCPL stage's shard replicas synchronize within
-    /// a pass (default [`MergeCadence::per_pass`], the historical
-    /// once-per-pass barrier — bit-exact with the pre-cadence engine).
-    /// `MergeCadence { every: m }` runs the exact merge step every `m`
-    /// presentations per replica, parameter-server-style bounded staleness
-    /// that slides between the barrier (`m ≥ batch`) and the serial
-    /// cascade (`m = 1`, bit-exact with serial at a single shard). CAME is
-    /// unaffected — its parallel paths are exact reductions with nothing
-    /// to go stale. See [`MergeCadence`] and `DESIGN.md` §12 for the
-    /// measured quality/throughput frontier.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc, MergeCadence};
-    ///
-    /// // A sharded deployment buying back quality with sub-pass merges.
-    /// let mcdc = Mcdc::builder()
-    ///     .execution(ExecutionPlan::mini_batch(256))
-    ///     .reconcile(DeltaMomentum { beta: 0.5 })
-    ///     .merge_cadence(MergeCadence::every(32))
-    ///     .build();
-    /// # let _ = mcdc;
-    /// ```
-    pub fn merge_cadence(mut self, cadence: MergeCadence) -> Self {
-        self.merge_cadence = Some(cadence);
         self
     }
 
@@ -221,7 +137,7 @@ impl McdcBuilder {
     }
 
     /// Builds the pipeline, reporting bad configuration — a non-finite
-    /// learning rate or momentum coefficient, a zero cap, an invalid
+    /// learning rate, a zero cap, an invalid
     /// [`FaultPlan`] — as [`McdcError::InvalidConfig`] instead of
     /// panicking.
     ///
@@ -232,7 +148,7 @@ impl McdcBuilder {
     /// [`MgcplBuilder::try_build`](crate::MgcplBuilder::try_build) for
     /// the exact checks).
     pub fn try_build(self) -> Result<Mcdc, McdcError> {
-        let mut mgcpl = Mgcpl::builder().seed(self.seed);
+        let mut mgcpl = Mgcpl::builder().seed(self.seed).halo(self.halo);
         if let Some(eta) = self.learning_rate {
             mgcpl = mgcpl.learning_rate(eta);
         }
@@ -253,17 +169,8 @@ impl McdcBuilder {
             came = came.execution(plan.clone());
             mgcpl = mgcpl.execution(plan);
         }
-        if let Some(policy) = self.reconcile {
-            mgcpl = mgcpl.reconcile_arc(policy);
-        }
-        if let Some(warm) = self.warm_start {
-            mgcpl = mgcpl.warm_start(warm);
-        }
         if let Some(plan) = self.fault_plan {
             mgcpl = mgcpl.fault_plan(plan);
-        }
-        if let Some(cadence) = self.merge_cadence {
-            mgcpl = mgcpl.merge_cadence(cadence);
         }
         Ok(Mcdc { mgcpl: mgcpl.try_build()?, came: came.build() })
     }
@@ -324,14 +231,14 @@ impl Mcdc {
     ///
     /// Every knob is optional; the three below are the ones production
     /// deployments touch most — the parallelism plan, its reconciliation
-    /// policy, and the seed:
+    /// halo, and the seed:
     ///
     /// ```
-    /// use mcdc_core::{DeltaMomentum, ExecutionPlan, Mcdc};
+    /// use mcdc_core::{ExecutionPlan, Mcdc};
     ///
     /// let mcdc = Mcdc::builder()
     ///     .execution(ExecutionPlan::mini_batch(512))
-    ///     .reconcile(DeltaMomentum { beta: 0.5 })
+    ///     .halo(16)
     ///     .seed(42)
     ///     .build();
     /// assert!(mcdc.execution_plan().is_parallel());
@@ -346,9 +253,9 @@ impl Mcdc {
         self.mgcpl.execution_plan()
     }
 
-    /// The reconciliation policy replicated MGCPL passes merge under.
-    pub fn reconcile_policy(&self) -> &dyn Reconcile {
-        self.mgcpl.reconcile_policy()
+    /// The reconciliation halo replicated MGCPL passes overlap shards by.
+    pub fn halo(&self) -> usize {
+        self.mgcpl.halo()
     }
 
     /// Runs MGCPL then CAME, partitioning `table` into `k` clusters.

@@ -894,13 +894,10 @@ impl StreamingMcdc {
     /// plan sized for the bootstrap batch (an explicit `Sharded` partition,
     /// or a `MiniBatch` larger than the reservoir) would otherwise
     /// invalidate every re-fit once the stream grows past it. The learner's
-    /// [`Reconcile`](crate::Reconcile) policy and
-    /// [`WarmStart`](crate::WarmStart) mode need no such adaptation and
-    /// ride along unchanged: halo widths clamp to the adapted shard sizes,
-    /// a rotating policy re-derives its row → replica map from whatever
-    /// partition the adapted plan yields, and the cross-stage carry is
-    /// plan-agnostic — so a δ-momentum, overlapping-shard, rotating, or
-    /// warm-started re-fit stays well-posed at any reservoir size.
+    /// reconciliation [`halo`](crate::MgcplBuilder::halo) needs no such
+    /// adaptation and rides along unchanged: it clamps to the adapted
+    /// shard sizes, so an overlapping-shard re-fit stays well-posed at any
+    /// reservoir size.
     ///
     /// Nothing is rebuilt from scratch per re-fit: the reservoir's encoded
     /// buffer is the fit input as-is, the plan adapts in place (no learner
@@ -1139,58 +1136,22 @@ mod tests {
 
     #[test]
     fn refit_carries_the_reconcile_policy_through() {
-        use crate::{DeltaMomentum, ExecutionPlan, OverlapShards};
+        use crate::ExecutionPlan;
         let data = batch(11);
-        for (name, mgcpl) in [
-            (
-                "delta-momentum",
-                Mgcpl::builder()
-                    .seed(1)
-                    .execution(ExecutionPlan::mini_batch(128))
-                    .reconcile(DeltaMomentum { beta: 0.7 })
-                    .build(),
-            ),
-            (
-                "overlap-shards",
-                Mgcpl::builder()
-                    .seed(1)
-                    .execution(ExecutionPlan::mini_batch(128))
-                    .reconcile(OverlapShards { halo: 16 })
-                    .build(),
-            ),
-        ] {
-            let mut stream = StreamingMcdc::bootstrap(mgcpl, data.table()).unwrap();
-            for i in 0..200 {
-                stream.absorb(data.table().row(i % 300));
-            }
-            let summary = stream.refit().unwrap();
-            assert!(summary.sigma >= 1, "{name} refit lost its granularities");
-            assert!(stream.kappa().iter().all(|&k| k >= 1));
-        }
-    }
-
-    #[test]
-    fn refit_carries_rotation_and_warm_start_through() {
-        use crate::{DeltaMomentum, ExecutionPlan, Rotate, WarmStart};
-        let data = batch(12);
-        let mgcpl = Mgcpl::builder()
-            .seed(1)
-            .execution(ExecutionPlan::mini_batch(128))
-            .reconcile(Rotate { period: 1, inner: DeltaMomentum { beta: 0.5 } })
-            .warm_start(WarmStart::Carry)
-            .build();
-        let mut stream = StreamingMcdc::bootstrap(mgcpl, data.table()).unwrap();
+        let mgcpl = Mgcpl::builder().seed(1).execution(ExecutionPlan::mini_batch(128)).halo(16);
+        let mut stream = StreamingMcdc::bootstrap(mgcpl.build(), data.table()).unwrap();
         for i in 0..200 {
             stream.absorb(data.table().row(i % 300));
         }
-        // Two refits through the growing reservoir: the rotating policy
-        // must keep firing on the adapted plan and the warm carry must keep
-        // the cascade well-posed.
+        // Two refits through the growing reservoir: the halo clamps to the
+        // adapted shards and the cascade stays well-posed.
         for _ in 0..2 {
             let summary = stream.refit().unwrap();
-            assert!(summary.sigma >= 1, "quality-recovery refit lost its granularities");
+            assert!(summary.sigma >= 1, "halo refit lost its granularities");
             assert!(stream.kappa().iter().all(|&k| k >= 1));
         }
+        // The re-fit learner is the configured one: same halo, same plan.
+        assert_eq!(stream.mgcpl.halo(), 16);
     }
 
     #[test]

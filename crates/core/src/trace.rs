@@ -30,9 +30,8 @@ pub struct HotPathStats {
     /// Learning passes (MGCPL) or alternating-minimization iterations
     /// (CAME) executed.
     pub passes: u64,
-    /// Row → replica rotations performed by a rotating
-    /// [`Reconcile`](crate::Reconcile) policy (`Rotate { period }`); 0
-    /// under serial plans, single-shard maps, and non-rotating policies.
+    /// Always 0: replica rotation was removed from the engine. Kept
+    /// because the benchmark reads it.
     pub rotations: u64,
     /// Injected replica execution failures (crashes plus
     /// deadline-exceeded stragglers), counted per failed attempt — a
@@ -46,7 +45,7 @@ pub struct HotPathStats {
     /// its attempt budget, summed over merge steps (a shard quarantined
     /// in 3 passes contributes 3).
     pub quarantined_shards: u64,
-    /// Merge δ vectors excluded from the δ blend on a surviving replica:
+    /// Merge δ vectors excluded from the δ average on a surviving replica:
     /// poisoned (NaN / non-finite / outside the `[0, 1]` ω-clamp) or
     /// dropped in transit.
     pub rejected_deltas: u64,

@@ -78,7 +78,7 @@ pub(crate) struct ReplicaSlot {
     pub(crate) decisions: Vec<usize>,
     /// Winner similarity per presented row; filled only under overlap.
     pub(crate) confidences: Vec<f64>,
-    /// Replica δ at span end (extracted from the cohort for the blend).
+    /// Replica δ at span end (extracted from the cohort for the average).
     pub(crate) delta: Vec<f64>,
     /// Per-cluster member lists of this shard's *owned* rows.
     pub(crate) members: Vec<Vec<usize>>,
@@ -96,8 +96,8 @@ pub(crate) struct ReplicaSlot {
     pub(crate) quarantined: bool,
     /// Whether the replica's merge δ was dropped in transit.
     pub(crate) delta_dropped: bool,
-    /// Whether this replica's δ participates in the blend (survivor with
-    /// an intact, in-bounds δ).
+    /// Whether this replica's δ participates in the average (survivor
+    /// with an intact, in-bounds δ).
     pub(crate) delta_ok: bool,
 }
 
@@ -116,10 +116,6 @@ pub(crate) struct ReplicatedScratch {
     /// Merge target for the per-shard profiles; swapped with the cohort's
     /// profiles each pass so both sides recycle.
     pub(crate) merged: Vec<ClusterProfile>,
-    /// δ blend accumulator.
-    pub(crate) blended: Vec<f64>,
-    /// Pass-start δ handed to the reconcile policy's blend.
-    pub(crate) pass_start_delta: Vec<f64>,
     /// Scoring accumulators for the orphan fallback: rows of quarantined
     /// shards re-scored against the frozen pass-start cohort (DESIGN.md
     /// §8).

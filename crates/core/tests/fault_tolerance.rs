@@ -2,8 +2,8 @@
 //!
 //! * `FaultPlan::none()` is **bit-exact** with a builder that never touches
 //!   the knob — partitions, κ, trace, *and* every hot-path counter — over
-//!   the full `ExecutionPlan` × `Reconcile` × rotation × warm-start grid
-//!   (property-tested over random tables and pinned on the nested suite);
+//!   the full `ExecutionPlan` × halo grid (property-tested over random
+//!   tables and pinned on the nested suite);
 //! * seeded chaos schedules (crashes, stragglers, poisoned and dropped
 //!   δ vectors, all at once) never panic, never leak a NaN into results,
 //!   and stay deterministic for a fixed seed;
@@ -13,12 +13,10 @@
 //! * past the budget the shard is quarantined, the merge degrades to the
 //!   survivors, and clustering quality stays within the replicated band
 //!   (the measured grid lives in `BENCH_faults.json`);
-//! * fault handling composes with the sub-pass [`MergeCadence`]
-//!   (DESIGN.md §12): the fate probes key on *mini*-merge steps, chaos
-//!   under a sub-pass cadence never panics or leaks NaN and stays
-//!   deterministic, a recovered retry of a sub-pass segment is bit-exact
-//!   with the clean cadence fit, and a quarantine at a mid-pass merge
-//!   still yields dense labels;
+//! * fault handling composes with the reconciliation halo: chaos over
+//!   overlapping shards stays deterministic, a recovered retry is
+//!   bit-exact with the clean halo fit, and a quarantine that orphans
+//!   halo votes still yields dense labels;
 //! * the builder boundary rejects non-finite knobs with
 //!   [`McdcError::InvalidConfig`] naming the offending parameter, for
 //!   MGCPL and the MCDC pipeline alike.
@@ -26,10 +24,7 @@
 use categorical_data::synth::GeneratorConfig;
 use categorical_data::{CategoricalTable, Dataset};
 use cluster_eval::accuracy;
-use mcdc_core::{
-    DeltaAverage, DeltaMomentum, ExecutionPlan, FaultPlan, Mcdc, McdcError, MergeCadence, Mgcpl,
-    MgcplBuilder, OverlapShards, Reconcile, Rotate, WarmStart,
-};
+use mcdc_core::{ExecutionPlan, FaultPlan, Mcdc, McdcError, Mgcpl, MgcplBuilder};
 use proptest::prelude::*;
 
 fn nested(n: usize, seed: u64) -> Dataset {
@@ -61,38 +56,6 @@ fn plans(n: usize) -> Vec<ExecutionPlan> {
         ExecutionPlan::mini_batch(n),
         ExecutionPlan::sharded((0..3).map(|s| (s..n).step_by(3).collect()).collect()),
     ]
-}
-
-/// Every shipped policy shape, as fresh boxed instances.
-fn policies() -> Vec<Box<dyn Fn() -> Box<dyn Reconcile>>> {
-    vec![
-        Box::new(|| Box::new(DeltaAverage)),
-        Box::new(|| Box::new(DeltaMomentum { beta: 0.7 })),
-        Box::new(|| Box::new(OverlapShards { halo: 8 })),
-        Box::new(|| Box::new(Rotate { period: 2, inner: DeltaMomentum { beta: 0.7 } })),
-    ]
-}
-
-/// Routes a boxed policy into the by-value `reconcile` builder hook.
-#[derive(Debug)]
-struct Boxed(Box<dyn Reconcile>);
-
-impl Reconcile for Boxed {
-    fn describe(&self) -> mcdc_core::ReconcileDescriptor {
-        self.0.describe()
-    }
-    fn rotation_period(&self) -> usize {
-        self.0.rotation_period()
-    }
-    fn halo(&self) -> usize {
-        self.0.halo()
-    }
-    fn blend_delta(&self, pass_start: &[f64], blended: &mut [f64]) {
-        self.0.blend_delta(pass_start, blended)
-    }
-    fn resolve(&self, votes: &[(usize, f64)]) -> usize {
-        self.0.resolve(votes)
-    }
 }
 
 fn fit(
@@ -142,18 +105,16 @@ proptest! {
         table in arbitrary_table(),
         batch_divisor in 1usize..5,
         fault_seed in 0u64..1000,
-        every in 0usize..24,
+        halo in 0usize..6,
     ) {
         let n = table.n_rows();
         let batch = (n / batch_divisor).max(1);
-        // `every = 0` is the per-pass barrier; anything else exercises the
-        // sub-pass cadence, where the fate probes fire per mini-merge.
         let result = fit(
             &table,
             |b| {
                 b.execution(ExecutionPlan::mini_batch(batch))
+                    .halo(halo)
                     .fault_plan(chaos(fault_seed))
-                    .merge_cadence(MergeCadence::every(every))
             },
             3,
         );
@@ -170,34 +131,22 @@ proptest! {
 
 #[test]
 fn fault_plan_none_pins_bit_exact_over_the_full_grid() {
-    // The exhaustive grid the ISSUE names: every `ExecutionPlan` shape ×
-    // every `Reconcile` shape × rotation × warm start, each compared
-    // against the identical builder with `FaultPlan::none()` armed.
+    // Every `ExecutionPlan` shape × disjoint and overlapping shards, each
+    // compared against the identical builder with `FaultPlan::none()` armed.
     let data = nested(240, 7);
     for plan in plans(240) {
-        for policy in policies() {
-            for warm in [WarmStart::Cold, WarmStart::Carry] {
-                let reference = fit(
-                    data.table(),
-                    |b| b.execution(plan.clone()).reconcile(Boxed(policy())).warm_start(warm),
-                    9,
-                );
-                let armed_off = fit(
-                    data.table(),
-                    |b| {
-                        b.execution(plan.clone())
-                            .reconcile(Boxed(policy()))
-                            .warm_start(warm)
-                            .fault_plan(FaultPlan::none())
-                    },
-                    9,
-                );
-                assert_eq!(reference.stats, armed_off.stats, "counters moved under {plan:?}");
-                assert_eq!(reference, armed_off, "FaultPlan::none() diverged under {plan:?}");
-                assert_eq!(armed_off.stats.replica_failures, 0);
-                assert_eq!(armed_off.stats.rejected_deltas, 0);
-                assert_eq!(armed_off.stats.min_survivor_permille, 1000);
-            }
+        for halo in [0, 8] {
+            let reference = fit(data.table(), |b| b.execution(plan.clone()).halo(halo), 9);
+            let armed_off = fit(
+                data.table(),
+                |b| b.execution(plan.clone()).halo(halo).fault_plan(FaultPlan::none()),
+                9,
+            );
+            assert_eq!(reference.stats, armed_off.stats, "counters moved under {plan:?}");
+            assert_eq!(reference, armed_off, "FaultPlan::none() diverged under {plan:?}");
+            assert_eq!(armed_off.stats.replica_failures, 0);
+            assert_eq!(armed_off.stats.rejected_deltas, 0);
+            assert_eq!(armed_off.stats.min_survivor_permille, 1000);
         }
     }
 }
@@ -214,59 +163,42 @@ fn chaos_schedules_are_deterministic_per_seed() {
 }
 
 #[test]
-fn chaos_under_sub_pass_cadence_is_deterministic_per_seed() {
-    // More merge steps per pass means more fate probes at the same rates,
-    // but every probe stays keyed on (mini-merge step, shard, attempt), so
-    // the thread schedule still cannot change the outcome.
+fn chaos_under_a_halo_is_deterministic_per_seed() {
+    // Overlapping shards add vote-settled rows to every merge, but every
+    // fate probe stays keyed on (merge step, shard, attempt), so the
+    // thread schedule still cannot change the outcome.
     let data = nested(240, 2);
     for plan in plans(240).into_iter().filter(ExecutionPlan::is_parallel) {
-        for every in [1usize, 7, 15] {
-            let run = || {
-                fit(
-                    data.table(),
-                    |b| {
-                        b.execution(plan.clone())
-                            .fault_plan(chaos(11))
-                            .merge_cadence(MergeCadence::every(every))
-                    },
-                    5,
-                )
-            };
-            let (a, b) = (run(), run());
-            assert_eq!(a.stats, b.stats, "counters non-deterministic under {plan:?} m={every}");
-            assert_eq!(a, b, "cadence chaos non-deterministic under {plan:?} m={every}");
-            // Whatever was injected, the cascade invariants hold.
-            assert!(a.kappa.windows(2).all(|w| w[0] > w[1]) || a.kappa.len() <= 1);
-            for (partition, &k) in a.partitions.iter().zip(&a.kappa) {
-                assert_eq!(partition.len(), 240);
-                assert!(partition.iter().all(|&l| l < k));
-            }
+        let run =
+            || fit(data.table(), |b| b.execution(plan.clone()).halo(8).fault_plan(chaos(11)), 5);
+        let (a, b) = (run(), run());
+        assert_eq!(a.stats, b.stats, "counters non-deterministic under {plan:?}");
+        assert_eq!(a, b, "halo chaos non-deterministic under {plan:?}");
+        // Whatever was injected, the cascade invariants hold.
+        assert!(a.kappa.windows(2).all(|w| w[0] > w[1]) || a.kappa.len() <= 1);
+        for (partition, &k) in a.partitions.iter().zip(&a.kappa) {
+            assert_eq!(partition.len(), 240);
+            assert!(partition.iter().all(|&l| l < k));
         }
     }
 }
 
 #[test]
-fn recovered_retry_of_a_sub_pass_segment_is_bit_identical_to_clean() {
-    // A crash of shard 1 at mini-merge step 3 — a coordinate that only
-    // exists because the cadence slices the pass into segments — with
-    // retry headroom: the re-executed segment attempt is deterministic, so
-    // the fit matches the clean cadence fit bit for bit and the failure is
+fn recovered_retry_under_a_halo_is_bit_identical_to_clean() {
+    // A crash of shard 1 at merge step 3 (the fourth pass) with retry
+    // headroom: the re-executed attempt is deterministic, so the
+    // overlapping fit matches the clean one bit for bit and the failure is
     // visible only in the accounting.
     let data = nested(240, 7);
-    let plan = ExecutionPlan::mini_batch(60); // 4 shards, m = 15 → 4 mini-merges per pass
-    let cadence = MergeCadence::every(15);
-    let clean = fit(data.table(), |b| b.execution(plan.clone()).merge_cadence(cadence), 9);
+    let plan = ExecutionPlan::mini_batch(60); // 4 shards
+    let clean = fit(data.table(), |b| b.execution(plan.clone()).halo(8), 9);
+    assert!(clean.stats.passes > 3, "the fit must reach merge step 3");
     let retried = fit(
         data.table(),
-        |b| {
-            b.execution(plan.clone())
-                .merge_cadence(cadence)
-                .fault_plan(FaultPlan::none().fail_replica(3, 1))
-        },
+        |b| b.execution(plan.clone()).halo(8).fault_plan(FaultPlan::none().fail_replica(3, 1)),
         9,
     );
-    assert_eq!(clean.stats.quarantined_shards, 0);
-    assert_eq!(clean, retried, "a recovered sub-pass retry must not change results");
+    assert_eq!(clean, retried, "a recovered retry must not change results");
     assert_eq!(retried.stats.replica_failures, 1);
     assert_eq!(retried.stats.retries, 1);
     assert_eq!(retried.stats.quarantined_shards, 0);
@@ -274,20 +206,20 @@ fn recovered_retry_of_a_sub_pass_segment_is_bit_identical_to_clean() {
 }
 
 #[test]
-fn quarantine_at_a_mid_pass_merge_keeps_labels_dense() {
-    // Exhaust the budget at a mini-merge in the middle of the first pass:
-    // only that segment's rows orphan (they fall back to their standing
-    // membership, or a frozen-snapshot rescore when they have none), the
-    // merge degrades to the survivors, and every granularity still gets a
-    // full dense labeling.
+fn quarantine_under_a_halo_keeps_labels_dense() {
+    // Exhaust the budget of shard 2 at the first merge: the halo rows it
+    // borrowed settle on the remaining votes, the rows it owns orphan
+    // (a frozen-snapshot rescore — the first pass has no standing
+    // membership), the merge degrades to the survivors, and every
+    // granularity still gets a full dense labeling.
     let data = nested(240, 7);
     let plan = ExecutionPlan::mini_batch(60); // 4 shards
     let result = fit(
         data.table(),
         |b| {
             b.execution(plan.clone())
-                .merge_cadence(MergeCadence::every(15))
-                .fault_plan(FaultPlan::none().fail_replica(2, 2).retry_budget(1))
+                .halo(8)
+                .fault_plan(FaultPlan::none().fail_replica(0, 2).retry_budget(1))
         },
         9,
     );
@@ -296,7 +228,7 @@ fn quarantine_at_a_mid_pass_merge_keeps_labels_dense() {
     assert_eq!(result.stats.min_survivor_permille, 750);
     for (partition, &k) in result.partitions.iter().zip(&result.kappa) {
         assert_eq!(partition.len(), 240);
-        assert!(partition.iter().all(|&l| l < k), "quarantined mid-pass merge leaked a label");
+        assert!(partition.iter().all(|&l| l < k), "quarantined halo merge leaked a label");
     }
 }
 
@@ -413,12 +345,6 @@ fn builder_boundary_rejects_non_finite_knobs() {
     };
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0, -0.2] {
         expect(Mgcpl::builder().learning_rate(bad).try_build(), "learning_rate");
-    }
-    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.0, -0.2] {
-        expect(
-            Mgcpl::builder().reconcile(DeltaMomentum { beta: bad }).try_build(),
-            "reconcile.beta",
-        );
     }
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.1] {
         expect(

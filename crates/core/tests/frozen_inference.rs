@@ -3,8 +3,7 @@
 //! * the frozen `score_one`/`score_batch` argmax is **identical** to the
 //!   live [`score_all`] assignment (first index wins on ties) on random
 //!   tables *with MISSING values*, for models fitted under every
-//!   `ExecutionPlan` × `Reconcile` combination and frozen at every
-//!   granularity;
+//!   `ExecutionPlan` × halo combination and frozen at every granularity;
 //! * the full-pipeline `McdcResult::freeze` matches the live kernels the
 //!   same way;
 //! * the serialized roundtrip is bit-exact: `from_bytes(to_bytes(m)) == m`
@@ -13,10 +12,7 @@
 //!   performs no allocation (pointer and capacity pinned).
 
 use categorical_data::{CategoricalTable, Schema, MISSING};
-use mcdc_core::{
-    score_all, ClusterProfile, DeltaAverage, DeltaMomentum, ExecutionPlan, FrozenModel, Mcdc,
-    Mgcpl, OverlapShards, Reconcile,
-};
+use mcdc_core::{score_all, ClusterProfile, ExecutionPlan, FrozenModel, Mcdc, Mgcpl};
 use proptest::prelude::*;
 
 /// Random tables over a uniform 4-value schema where code 4 maps to
@@ -44,42 +40,16 @@ fn plans(n: usize) -> Vec<ExecutionPlan> {
     ]
 }
 
-fn policies() -> Vec<Box<dyn Fn() -> Box<dyn Reconcile>>> {
-    vec![
-        Box::new(|| Box::new(DeltaAverage)),
-        Box::new(|| Box::new(DeltaMomentum { beta: 0.5 })),
-        Box::new(|| Box::new(OverlapShards { halo: 2 })),
-    ]
-}
+/// The reconciliation halos under test: disjoint shards and a 2-row halo.
+const HALOS: [usize; 2] = [0, 2];
 
 fn fit_mgcpl(
     table: &CategoricalTable,
     plan: ExecutionPlan,
-    policy: Box<dyn Reconcile>,
+    halo: usize,
     seed: u64,
 ) -> mcdc_core::MgcplResult {
-    // `reconcile` takes the policy by value; route through a small adapter.
-    struct Boxed(Box<dyn Reconcile>);
-    impl std::fmt::Debug for Boxed {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{:?}", self.0)
-        }
-    }
-    impl Reconcile for Boxed {
-        fn describe(&self) -> mcdc_core::ReconcileDescriptor {
-            self.0.describe()
-        }
-        fn halo(&self) -> usize {
-            self.0.halo()
-        }
-        fn blend_delta(&self, pass_start: &[f64], blended: &mut [f64]) {
-            self.0.blend_delta(pass_start, blended)
-        }
-        fn resolve(&self, votes: &[(usize, f64)]) -> usize {
-            self.0.resolve(votes)
-        }
-    }
-    Mgcpl::builder().seed(seed).execution(plan).reconcile(Boxed(policy)).build().fit(table).unwrap()
+    Mgcpl::builder().seed(seed).execution(plan).halo(halo).build().fit(table).unwrap()
 }
 
 /// The live reference: profiles of the partition, [`score_all`] with unit
@@ -120,8 +90,8 @@ proptest! {
         let n = table.n_rows();
         let rows: Vec<&[u32]> = (0..n).map(|i| table.row(i)).collect();
         for plan in plans(n) {
-            for policy in policies() {
-                let result = fit_mgcpl(&table, plan.clone(), policy(), seed);
+            for halo in HALOS {
+                let result = fit_mgcpl(&table, plan.clone(), halo, seed);
                 for level in 0..result.sigma() {
                     let frozen = result.freeze_level(&table, level).unwrap();
                     let mut batch = Vec::new();

@@ -9,22 +9,12 @@ use mcdc_core::{ExecutionPlan, Mgcpl, Workspace};
 #[test]
 fn warm_workspace_runs_allocation_free() {
     let data = GeneratorConfig::new("warm", 400, vec![4; 8], 3).noise(0.05).generate(5).dataset;
-    // The quality-recovery axes (cross-pass rotation, warm carry; DESIGN.md
-    // §6) must preserve the zero-allocation steady state: rotation rebuilds
-    // the shard map into its own reused buffers and the carry needs no
-    // scratch at all, so the workspace arena's warm-fit guarantee is
-    // identical with them on.
+    // The halo's vote buffers size with the overlap and are reused like
+    // every other pass buffer, so the warm-fit guarantee holds with it on.
     let configure: [&dyn Fn(mcdc_core::MgcplBuilder) -> mcdc_core::MgcplBuilder; 3] = [
         &|b| b.execution(ExecutionPlan::Serial),
         &|b| b.execution(ExecutionPlan::mini_batch(100)),
-        &|b| {
-            b.execution(ExecutionPlan::mini_batch(100))
-                .reconcile(mcdc_core::Rotate {
-                    period: 1,
-                    inner: mcdc_core::OverlapShards { halo: 8 },
-                })
-                .warm_start(mcdc_core::WarmStart::Carry)
-        },
+        &|b| b.execution(ExecutionPlan::mini_batch(100)).halo(8),
     ];
     for configure in configure {
         let mgcpl = configure(Mgcpl::builder().seed(2)).build();

@@ -13,11 +13,10 @@
 # shapes and fails on panics/NaN medians, on frozen/live argmax parity
 # breaking on the pinned seed, or on the frozen kernels losing to the
 # live `score_all` path they compact. The reconcile smoke
-# (`reconcile_ablation --quick`) runs a tiny quality-recovery grid —
-# including a sub-pass merge-cadence arm (DESIGN.md §12) — and fails on
-# panics, non-finite metrics, or a rotating policy that never rotates
-# (the cadence arm rotates at mini-merge granularity, so it also proves
-# the sub-pass merge path ran). The chaos smoke (`fault_chaos --quick`) runs the fault arms
+# (`reconcile_ablation --quick`) runs a tiny grid of the halo
+# significance harness (DESIGN.md §5) and fails on panics, non-finite
+# metrics, or a halo arm whose score evaluations do not exceed its
+# disjoint twin's (the halo path never ran). The chaos smoke (`fault_chaos --quick`) runs the fault arms
 # (retry, quarantine, probabilistic chaos) on a small grid and fails on
 # panics, non-finite metrics, a chaos arm that never injects a failure,
 # a retry arm that diverges from the clean labels, or a quarantined fit
